@@ -26,6 +26,7 @@ Usage::
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Dict
 
@@ -78,11 +79,14 @@ class DLB:
         self._borrowed: Dict[int, int] = {}      # rank -> extra cores held
         self._in_mpi: Dict[int, bool] = {}
         self._dead: set[int] = set()
-        # node -> attached ranks in attach order (the iteration order the
-        # lend/feed scans used when filtering ``self.teams`` by node), and
-        # rank -> node, so the per-event scans skip the world lookups.
-        self._node_teams: Dict[int, list] = {}
+        # rank -> (attach order, rank) sort key and rank -> node, so the
+        # per-event paths skip the world lookups; per node, the currently
+        # hungry ranks and the borrowing ranks, each kept in attach order
+        # (the order the scans over all attached teams used)
+        self._order: Dict[int, tuple] = {}
         self._team_node: Dict[int, int] = {}
+        self._hungry: Dict[int, list] = {}
+        self._borrowers: Dict[int, list] = {}
         self.stats = DLBStats()
         if enabled:
             world.hooks.register(self)
@@ -95,8 +99,10 @@ class DLB:
         self._borrowed[rank] = 0
         self._in_mpi[rank] = False
         node = self.world.node_of(rank)
+        self._order[rank] = (len(self._order), rank)
         self._team_node[rank] = node
-        self._node_teams.setdefault(node, []).append(rank)
+        self._hungry.setdefault(node, [])
+        self._borrowers.setdefault(node, [])
         self._pool.setdefault(node, 0)
         if self.enabled:
             team.listener = self
@@ -107,10 +113,11 @@ class DLB:
         if rank not in self.teams or rank in self._dead:
             return
         self._in_mpi[rank] = True
+        node = self._team_node[rank]
+        _unindex(self._hungry[node], self._order[rank])
         team = self.teams[rank]
         if team.is_running and team.active_workers > 0:
             return  # mid-graph blocking: keep the cores (rare in fork-join)
-        node = self._team_node[rank]
         own_available = team.base_threads - self._lent[rank]
         if self.policy == "lewi_half" and own_available > 1:
             # conservative variant: keep half of the own cores so reclaim
@@ -121,7 +128,9 @@ class DLB:
         give = self._borrowed[rank] + own_lend
         if give <= 0:
             return
-        self._borrowed[rank] = 0
+        if self._borrowed[rank]:
+            self._borrowed[rank] = 0
+            _unindex(self._borrowers[node], self._order[rank])
         self._lent[rank] += own_lend
         team.set_capacity(team.base_threads - self._lent[rank])
         self._pool[node] += give
@@ -135,24 +144,31 @@ class DLB:
             return
         self._in_mpi[rank] = False
         team = self.teams[rank]
+        node = self._team_node[rank]
+        if team.is_running and team.wants_cores:
+            # mid-graph MPI call: the team is a feed candidate again
+            _index(self._hungry[node], self._order[rank])
         need = self._lent[rank]
         if need <= 0:
             return
-        node = self._team_node[rank]
         taken = min(need, self._pool[node])
         self._pool[node] -= taken
         need -= taken
-        if need > 0:
-            # Pull back from borrowers (largest borrowers first).
-            for other in sorted(self._borrowers_on(node),
-                                key=lambda r: -self._borrowed[r]):
-                if need <= 0:
-                    break
-                k = min(need, self._borrowed[other])
-                self._borrowed[other] -= k
-                other_team = self.teams[other]
-                other_team.set_capacity(other_team.capacity - k)
-                need -= k
+        borrowers = self._borrowers[node]
+        borrowed = self._borrowed
+        while need > 0 and borrowers:
+            # Pull back from borrowers: largest first, attach order among
+            # equals.  Each pull either drains the borrower or settles the
+            # debt, so re-picking the largest follows the sorted order.
+            entry = max(borrowers, key=lambda e: borrowed[e[1]])
+            other = entry[1]
+            k = min(need, borrowed[other])
+            borrowed[other] -= k
+            if not borrowed[other]:
+                _unindex(borrowers, entry)
+            other_team = self.teams[other]
+            other_team.set_capacity(other_team.capacity - k)
+            need -= k
         if need > 0:  # pragma: no cover - accounting invariant
             raise RuntimeError(
                 f"DLB lost track of {need} cores for rank {rank}")
@@ -168,6 +184,7 @@ class DLB:
                 or rank in self._dead:
             return
         node = self._team_node[rank]
+        _index(self._hungry[node], self._order[rank])
         self._grant(node, rank)
 
     def on_team_idle(self, team: Team) -> None:
@@ -175,11 +192,13 @@ class DLB:
         rank = team.rank
         if rank not in self.teams or rank in self._dead:
             return
+        node = self._team_node[rank]
+        _unindex(self._hungry[node], self._order[rank])
         extra = self._borrowed[rank]
         if extra <= 0:
             return
-        node = self._team_node[rank]
         self._borrowed[rank] = 0
+        _unindex(self._borrowers[node], self._order[rank])
         team.set_capacity(team.base_threads - self._lent[rank])
         self._pool[node] += extra
         self._feed(node)
@@ -202,6 +221,8 @@ class DLB:
             self._pool[node] = self._pool.get(node, 0) + inherited
         # Freeze the dead team's books so reclaim math stays conserved.
         self._borrowed[rank] = 0
+        _unindex(self._hungry[node], self._order[rank])
+        _unindex(self._borrowers[node], self._order[rank])
         self._lent[rank] = team.base_threads
         team.set_capacity(0)
         self.stats.rank_death_events += 1
@@ -219,10 +240,6 @@ class DLB:
         self.stats.throttle_events += 1
 
     # -- internals --------------------------------------------------------
-    def _borrowers_on(self, node: int):
-        return [r for r in self._node_teams.get(node, ())
-                if self._borrowed[r] > 0 and r not in self._dead]
-
     def _grant(self, node: int, rank: int) -> None:
         """Give pool cores to ``rank``'s team, bounded by its appetite."""
         pool = self._pool.get(node, 0)
@@ -234,6 +251,8 @@ class DLB:
         if k <= 0:
             return
         self._pool[node] = pool - k
+        if not self._borrowed[rank]:
+            _index(self._borrowers[node], self._order[rank])
         self._borrowed[rank] += k
         team.set_capacity(team.capacity + k)
         self.stats.borrow_events += 1
@@ -242,15 +261,26 @@ class DLB:
                                            team.capacity)
 
     def _feed(self, node: int) -> None:
-        """Distribute pooled cores among currently hungry teams on ``node``."""
-        hungry = [r for r in self._node_teams.get(node, ())
-                  if not self._in_mpi.get(r)
-                  and r not in self._dead
-                  and self.teams[r].wants_cores]
-        for rank in hungry:
-            if self._pool.get(node, 0) <= 0:
-                break
-            self._grant(node, rank)
+        """Distribute pooled cores among currently hungry teams on ``node``.
+
+        Walks the hungry index in attach order instead of every attached
+        team.  A team enters the index when it reports itself hungry; one
+        found no longer wanting cores leaves it (it re-enters at its next
+        report — a team only turns hungry at a dispatch, which reports).
+        Granting never changes another team's appetite, so evaluating
+        lazily matches a snapshot of every attached team.
+        """
+        hungry = self._hungry.get(node)
+        if not hungry:
+            return
+        pool = self._pool
+        for entry in list(hungry):
+            if pool[node] <= 0:
+                return
+            if self.teams[entry[1]].wants_cores:
+                self._grant(node, entry[1])
+            else:
+                _unindex(hungry, entry)
 
     # -- introspection -----------------------------------------------------
     def pool_size(self, node: int) -> int:
@@ -260,3 +290,17 @@ class DLB:
     def borrowed_by(self, rank: int) -> int:
         """Extra cores ``rank``'s team currently holds."""
         return self._borrowed.get(rank, 0)
+
+
+def _index(entries: list, entry: tuple) -> None:
+    """Insert ``entry`` into an attach-ordered index (no duplicates)."""
+    i = bisect_left(entries, entry)
+    if i == len(entries) or entries[i] != entry:
+        entries.insert(i, entry)
+
+
+def _unindex(entries: list, entry: tuple) -> None:
+    """Remove ``entry`` from an attach-ordered index, if present."""
+    i = bisect_left(entries, entry)
+    if i < len(entries) and entries[i] == entry:
+        del entries[i]

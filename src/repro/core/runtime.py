@@ -156,7 +156,7 @@ class _PlanArbiter:
     """
 
     __slots__ = ("engine", "_pending", "planned_graphs", "planned_tasks",
-                 "plan_cache_hits", "plan_replans")
+                 "plan_cache_hits", "plan_replans", "scalar_graphs")
 
     def __init__(self, engine: Engine):
         self.engine = engine
@@ -167,6 +167,8 @@ class _PlanArbiter:
         self.planned_tasks = 0
         self.plan_cache_hits = 0
         self.plan_replans = 0
+        # graph runs that took per-task dispatch (recorder or listener)
+        self.scalar_graphs = 0
 
     def submit(self, team: "Team", plan: _Plan) -> None:
         if not self._pending:
@@ -248,7 +250,8 @@ class Team:
         # Plan mode (engine_batch): simulate the whole graph execution up
         # front and schedule one completion event, instead of 2 DES events
         # per task.  Engages per run() and only when nobody observes
-        # per-task execution (no recorder, no listener — see run()).
+        # per-task execution (no recorder, no listener — see _run_once;
+        # the fallback is counted in the arbiter's ``scalar_graphs``).
         # Mid-run set_capacity/set_slowdown append a timestamped epoch and
         # re-simulate the plan from the start — the already-executed prefix
         # replays float-identically, so the revised plan agrees with
@@ -320,7 +323,8 @@ class Team:
             return False
         if self._plan is not None:
             # derived from the plan arrays; mutex-blocked backlog counts as
-            # appetite (diagnostic only — DLB runs the scalar path)
+            # appetite.  Only plan-mode teams reach this, and those have no
+            # listener, so no DLB decision ever reads it
             plan = self._plan
             now = self.engine.now
             started = bisect_right(plan.d_start, now)
@@ -431,16 +435,19 @@ class Team:
             stats.t_end = self.engine.now
             return stats
         # engagement is re-checked per run: a recorder needs per-task
-        # records and a listener (DLB attaches itself after construction)
-        # needs task-boundary callbacks, so those runs take the scalar path
-        if (self._plan_enabled and self.recorder is None
-                and self.listener is None):
-            self._graph = graph
-            self._stats = stats
-            self._done = Event(self.engine)
-            self._plan_start(graph, stats)
-            result = yield self._done
-            return result
+        # records, and a listener (DLB attaches itself after construction)
+        # resizes the team every few tasks — a plan would be re-simulated
+        # at every resize, which costs more than the per-task events it
+        # saves — so those runs take the scalar path
+        if self._plan_enabled:
+            if self.recorder is None and self.listener is None:
+                self._graph = graph
+                self._stats = stats
+                self._done = Event(self.engine)
+                self._plan_start(graph, stats)
+                result = yield self._done
+                return result
+            self._arbiter.scalar_graphs += 1
         self._graph = graph
         self._stats = stats
         self._remaining = len(graph.tasks)

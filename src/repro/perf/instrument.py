@@ -132,8 +132,10 @@ def engine_counters(engine) -> Dict[str, float]:
     vectorized-vs-scalar dispatch split (arena-slot callbacks vs Event
     objects), clock-jump statistics, the event arena's allocation counters,
     and — when a :class:`~repro.core.runtime.Team` attached its plan
-    arbiter — the whole-graph plan counters.  Scalar engines return the
-    flat counters only.
+    arbiter — the whole-graph plan counters, including ``scalar_graphs``,
+    the graph runs that took per-task dispatch instead (a recorder or a
+    listener such as DLB was attached).  Scalar engines return the flat
+    counters only.
     """
     out: Dict[str, float] = {
         "events_processed": engine.events_processed,
@@ -169,6 +171,8 @@ def engine_counters(engine) -> Dict[str, float]:
             "planned_tasks": arbiter.planned_tasks,
             "plan_cache_hits": arbiter.plan_cache_hits,
             "plan_replans": arbiter.plan_replans,
+            # graph runs that took per-task dispatch on a batched engine
+            "scalar_graphs": arbiter.scalar_graphs,
         }
     out["batch"] = batch
     return out

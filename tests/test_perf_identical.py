@@ -10,6 +10,7 @@ Two guards:
   checkpoint file (byte-for-byte), across sync/coupled x DLB on/off.
 """
 
+import dataclasses
 import hashlib
 
 import pytest
@@ -154,6 +155,105 @@ class TestManyRankTieOrder:
             before = run_cfpd(cfg)
         after = run_cfpd(cfg)
         assert _digest(before) == _digest(after)
+
+
+class TestDLBBatchIdentity:
+    """The batched core under DLB lands on the scalar oracle at paper shapes.
+
+    ``engine_batch`` off is the oracle.  With it on, the DLB teams still
+    dispatch task by task (the fallback ``engine_diag`` must report) but on
+    the cohort-batched event loop, beside the hungry-team and borrower
+    indexes DLB keeps per node — so digests, checkpoint bytes and every
+    ``DLBStats`` field must match, across multi-node and coupled shapes,
+    the ``lewi_half`` policy and a rank death plus a throttle.
+    """
+
+    #: Fig. 8-style matrix cells (MareNostrum4, 2 nodes x 48 cores, one
+    #: thread per rank, multidep assembly) and a Thunder coupled split
+    PAPER_SHAPES = {
+        "mn4_sync": dict(cluster="marenostrum4", num_nodes=2, nranks=96),
+        "mn4_48_48": dict(cluster="marenostrum4", num_nodes=2, nranks=96,
+                          mode="coupled", fluid_ranks=48),
+        "thunder_96_96": dict(cluster="thunder", num_nodes=2, nranks=192,
+                              mode="coupled", fluid_ranks=96),
+    }
+
+    @staticmethod
+    def _dlb_run(kwargs, ckpt_path, fault_plan=None):
+        from repro.core.strategies import Strategy
+        cfg = RunConfig(**{"dlb": True, "threads_per_rank": 1,
+                           "checkpoint_every": 2,
+                           "assembly_strategy": Strategy.MULTIDEP,
+                           "sgs_strategy": Strategy.ATOMICS, **kwargs})
+        result = run_cfpd(cfg, workload=get_workload(SPEC),
+                          checkpoint_path=str(ckpt_path),
+                          fault_plan=fault_plan)
+        plans = result.engine_diag.get("batch", {}).get("plans", {})
+        events = ([(e.time, e.kind, e.rank) for e in result.faults.events]
+                  if result.faults is not None else None)
+        return (_digest(result), ckpt_path.read_bytes(),
+                dataclasses.asdict(result.dlb_stats), events,
+                plans.get("scalar_graphs", 0))
+
+    def _check(self, tmp_path, kwargs, fault_plan=None):
+        with toggles_mod.configured(engine_batch=False):
+            off = self._dlb_run(kwargs, tmp_path / "off.ckpt", fault_plan)
+        on = self._dlb_run(kwargs, tmp_path / "on.ckpt", fault_plan)
+        assert on[4] > 0, "engine_diag does not report the DLB fallback"
+        assert on[2]["lend_events"] > 0 and on[2]["borrow_events"] > 0
+        assert on[0] == off[0], "simulated metrics differ under DLB"
+        assert on[1] == off[1], "checkpoint bytes differ under DLB"
+        assert on[2] == off[2], "DLBStats differ under DLB"
+        assert on[3] == off[3], "fault firing schedule differs under DLB"
+
+    @pytest.mark.parametrize("name", sorted(PAPER_SHAPES))
+    def test_paper_shape_identical(self, name, tmp_path):
+        self._check(tmp_path, self.PAPER_SHAPES[name])
+
+    def test_lewi_half_identical(self, tmp_path, monkeypatch):
+        import functools
+
+        from repro.app import driver
+        from repro.core import DLB
+        monkeypatch.setattr(driver, "DLB",
+                            functools.partial(DLB, policy="lewi_half"))
+        # lewi_half keeps half of the own cores: needs multi-thread ranks
+        self._check(tmp_path, dict(cluster="thunder", num_nodes=1,
+                                   nranks=16, threads_per_rank=3))
+
+    def test_rank_death_and_throttle_identical(self, tmp_path):
+        from repro.fault import FaultPlan, FaultSpec
+        plan = FaultPlan(specs=(
+            FaultSpec(kind="straggler", time=2e-5, rank=3, factor=4.0,
+                      duration=3e-4),
+            FaultSpec(kind="rank_death", time=4e-4, rank=5),
+        ))
+        self._check(tmp_path, dict(cluster="marenostrum4", num_nodes=2,
+                                   nranks=96), fault_plan=plan)
+
+
+class TestEngineDiagOutOfDigests:
+    """Host-side counters never enter a simulated digest.
+
+    ``engine_diag`` carries the plan counters — including
+    ``scalar_graphs``, the graph runs that took per-task dispatch — which
+    differ between engine modes for the same simulated run.
+    """
+
+    def test_plan_counters_not_in_digests(self):
+        from repro.campaign import simulated_digest
+        cfg = RunConfig(cluster="thunder", num_nodes=1, nranks=8, dlb=True)
+        result = run_cfpd(cfg, workload=get_workload(SPEC))
+        plans = result.engine_diag["batch"]["plans"]
+        assert plans["scalar_graphs"] > 0      # DLB teams dispatch per task
+        digests = (simulated_digest(result), _digest(result))
+        plans["scalar_graphs"] += 1000
+        plans["planned_graphs"] += 1000
+        assert (simulated_digest(result), _digest(result)) == digests
+        with toggles_mod.configured(engine_batch=False):
+            scalar = run_cfpd(cfg, workload=get_workload(SPEC))
+        assert "batch" not in scalar.engine_diag
+        assert (simulated_digest(scalar), _digest(scalar)) == digests
 
 
 class TestFaultPlanReplay:

@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import DLB, Team, build_parallel_for_graph
 from repro.machine import CoreModel, marenostrum4
+from repro.perf.toggles import configured
 from repro.sim import Engine
 from repro.smpi import World
 
@@ -46,15 +47,27 @@ def run_random_workload(phases_per_rank, dlb_enabled, threads=2,
     violations = []
 
     if check_conservation:
+        def conserved(where):
+            total = sum(t.capacity for t in teams.values()) \
+                + dlb.pool_size(0)
+            if total != base_total:
+                violations.append((where, engine.now, total))
+
         def probe():
             while True:
-                total = sum(t.capacity for t in teams.values()) \
-                    + dlb.pool_size(0)
-                if total != base_total:
-                    violations.append((engine.now, total))
+                conserved("probe")
                 yield engine.timeout(0.25)
 
         engine.process(probe())
+
+        # owned + lent + pooled must also balance right after every lend
+        # and every reclaim, not only at the probe's sampling instants
+        for hook in ("on_mpi_enter", "on_mpi_exit"):
+            def checked(rank, call, _inner=getattr(dlb, hook), _hook=hook):
+                _inner(rank, call)
+                conserved(_hook)
+
+            setattr(dlb, hook, checked)
 
     def program(comm):
         my = phases_per_rank[comm.rank]
@@ -76,12 +89,17 @@ class TestDLBProperties:
     @given(workload_strategy)
     @settings(max_examples=30, deadline=None)
     def test_core_conservation_invariant(self, phases):
-        _, dlb, violations = run_random_workload(phases, dlb_enabled=True)
-        assert violations == []
-        # all loans settled at the end
-        assert dlb.pool_size(0) == 0
-        for r in range(len(phases)):
-            assert dlb.borrowed_by(r) == 0
+        # both event cores: the batched one runs the DLB teams task by
+        # task beside whole-graph plans of teams without a listener
+        for engine_batch in (False, True):
+            with configured(engine_batch=engine_batch):
+                _, dlb, violations = run_random_workload(phases,
+                                                         dlb_enabled=True)
+            assert violations == []
+            # all loans settled at the end
+            assert dlb.pool_size(0) == 0
+            for r in range(len(phases)):
+                assert dlb.borrowed_by(r) == 0
 
     @given(workload_strategy)
     @settings(max_examples=20, deadline=None)
