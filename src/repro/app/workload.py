@@ -42,7 +42,7 @@ from ..fem import (
 )
 from ..mesh import AirwayConfig, MeshResolution, build_airway_mesh
 from ..mesh.generator import AirwayMesh
-from ..partition import Decomposition, decompose_mesh, greedy_coloring
+from ..partition import Decomposition, decompose_mesh, rank_partition
 from ..particles import (
     AirwayFlow,
     ElementLocator,
@@ -330,7 +330,9 @@ class Workload:
                                inlet_flow_rate=spec.inlet_flow_rate)
         self.nodal_velocity = self.flow.nodal_velocity(self.mesh.coords)
         self.n_particles = spec.particle_count(self.mesh.nelem)
+        self._rank_labels: dict = {}
         self._decomps: dict = {}
+        self._meters: Optional[tuple] = None
         self._trajectory: Optional[list] = None
         self._histograms: dict = {}
         self._fluid_solution: Optional[dict] = None
@@ -340,6 +342,16 @@ class Workload:
         self._subcycles: dict = {}
 
     # -- decompositions -------------------------------------------------------
+    def rank_labels(self, nranks: int, method: str = "rcb") -> np.ndarray:
+        """The (cached) per-element owning rank for ``nranks`` — the rank
+        level of :meth:`decomposition`, for callers that need nothing
+        else (particle ownership, fluid/particle overlap, subcycling)."""
+        key = (nranks, method)
+        if key not in self._rank_labels:
+            self._rank_labels[key] = rank_partition(self.airway, nranks,
+                                                    method=method)
+        return self._rank_labels[key]
+
     def decomposition(self, nranks: int, subdomains_per_rank: int = 64,
                       method: str = "rcb",
                       min_shared_nodes: int = 4,
@@ -360,35 +372,40 @@ class Workload:
                              subdomains_per_rank=subdomains_per_rank,
                              method=method,
                              min_shared_nodes=min_shared_nodes,
-                             min_elements_per_subdomain=min_elements_per_subdomain)
+                             min_elements_per_subdomain=min_elements_per_subdomain,
+                             labels=self.rank_labels(nranks, method))
         row_nnz, node_owner = self._row_structure(dec.labels, nranks)
+        solver_nnz = np.bincount(node_owner, weights=row_nnz,
+                                 minlength=nranks)
         neighbor_bytes = self._neighbor_bytes(dec.labels, nranks)
-        ranks = []
-        for dom in dec.domains:
-            ids = dom.element_ids
-            # the same per-element meters the assembly kernel reports
-            a_instr, atomics = element_work_meters(
-                self.mesh, self.costs.assembly_instr, ids)
-            s_instr, _ = element_work_meters(
-                self.mesh, self.costs.sgs_instr, ids)
-            colors = (greedy_coloring(self.mesh.node_sharing_adjacency(ids))
-                      if len(ids) else np.zeros(0, dtype=np.int32))
-            owned_rows = node_owner == dom.rank
-            ranks.append(RankWork(
-                rank=dom.rank,
-                element_ids=ids,
-                assembly_instr=a_instr,
-                assembly_atomics=atomics,
-                sgs_instr=s_instr,
-                colors=colors,
-                sub_labels=dom.sub_labels,
-                sub_adjacency=dom.sub_adjacency,
-                solver_nnz=float(row_nnz[owned_rows].sum()),
-                halo_bytes=dom.halo_nodes * self.costs.halo_bytes_per_node,
-                neighbors=neighbor_bytes[dom.rank]))
+        a_instr, atomics, s_instr = self._work_meters()
+        halo_bytes = self.costs.halo_bytes_per_node
+        ranks = [RankWork(rank=dom.rank,
+                          element_ids=dom.element_ids,
+                          assembly_instr=a_instr[dom.element_ids],
+                          assembly_atomics=atomics[dom.element_ids],
+                          sgs_instr=s_instr[dom.element_ids],
+                          colors=dom.colors,
+                          sub_labels=dom.sub_labels,
+                          sub_adjacency=dom.sub_adjacency,
+                          solver_nnz=float(solver_nnz[dom.rank]),
+                          halo_bytes=dom.halo_nodes * halo_bytes,
+                          neighbors=neighbor_bytes[dom.rank])
+                 for dom in dec.domains]
         data = DecompData(decomposition=dec, ranks=ranks, labels=dec.labels)
         self._decomps[key] = data
         return data
+
+    def _work_meters(self) -> tuple:
+        """(Cached) per-element assembly instructions, assembly atomics and
+        SGS instructions over the whole mesh — the meters the assembly
+        kernel reports, sliced per rank by :meth:`decomposition`."""
+        if self._meters is None:
+            a_instr, atomics = element_work_meters(
+                self.mesh, self.costs.assembly_instr)
+            s_instr, _ = element_work_meters(self.mesh, self.costs.sgs_instr)
+            self._meters = (a_instr, atomics, s_instr)
+        return self._meters
 
     def _neighbor_bytes(self, labels: np.ndarray, nranks: int) -> list:
         """Per rank: (neighbor rank, halo bytes) pairs — ranks sharing
@@ -397,7 +414,7 @@ class Workload:
 
         valid = self.mesh.elem_nodes.ravel() >= 0
         nodes = self.mesh.elem_nodes.ravel()[valid]
-        owners = np.repeat(labels, 6)[valid]
+        owners = np.repeat(labels, self.mesh.elem_nodes.shape[1])[valid]
         inc = sparse.csr_matrix(
             (np.ones(len(nodes), dtype=np.int32), (nodes, owners)),
             shape=(self.mesh.nnodes, nranks))
@@ -544,7 +561,7 @@ class Workload:
         schedule = self.dt_schedule()
         sub = np.ones((len(schedule), nranks), dtype=np.int64)
         if self.spec.adaptive == "local":
-            labels = self.decomposition(nranks, method=method).labels
+            labels = self.rank_labels(nranks, method)
             rates = self.element_rates()
             rank_rate = np.zeros(nranks)
             for r in range(nranks):
@@ -798,8 +815,8 @@ class Workload:
         """(n_sim_steps, nranks) active-particle counts per owning rank."""
         key = (nranks, method)
         if key not in self._histograms:
-            data = self.decomposition(nranks, method=method)
-            locator = ElementLocator(self.airway, data.labels)
+            locator = ElementLocator(self.airway,
+                                     self.rank_labels(nranks, method))
             hist = np.zeros((self.n_sim_steps, nranks), dtype=np.int64)
             for s, step in enumerate(self.trajectory()):
                 pos = step["positions"]
@@ -813,8 +830,8 @@ class Workload:
         """(f, p) matrix: bytes of velocity data fluid rank i sends particle
         rank j each step (proportional to the element overlap of the two
         partitions)."""
-        lf = self.decomposition(f, method=method).labels
-        lp = self.decomposition(p, method=method).labels
+        lf = self.rank_labels(f, method)
+        lp = self.rank_labels(p, method)
         counts = np.zeros((f, p))
         np.add.at(counts, (lf, lp), 1.0)
         # ~ nodes per element x bytes per node

@@ -2,9 +2,10 @@
 
 Two halves:
 
-* **measurement** — :mod:`repro.perf.instrument` (phase timers, counters,
-  throughput meters) and :mod:`repro.perf.bench` (the benchmark runner that
-  emits ``BENCH_pr2.json``; run it with ``python -m repro.perf.bench``);
+* **measurement** — :mod:`repro.perf.instrument` (counters, engine and
+  fluid counter snapshots) and :mod:`repro.perf.bench` (the benchmark
+  runner that emits ``BENCH_pr2.json``; run it with
+  ``python -m repro.perf.bench``);
 * **optimization control** — :mod:`repro.perf.toggles`, the switches gating
   every PR 2 fast path so before/after can be measured from one build.
 
@@ -22,17 +23,14 @@ __all__ = [
     "set_toggles",
     "baseline",
     "configured",
-    "PhaseTimer",
     "Counters",
-    "ThroughputMeter",
     "engine_counters",
     "run_benchmarks",
 ]
 
 _TOGGLE_NAMES = {"Toggles", "TOGGLES", "set_toggles", "baseline",
                  "configured"}
-_INSTRUMENT_NAMES = {"PhaseTimer", "Counters", "ThroughputMeter",
-                     "engine_counters"}
+_INSTRUMENT_NAMES = {"Counters", "engine_counters"}
 
 
 def __getattr__(name: str):

@@ -797,7 +797,7 @@ def _particles_workload() -> str:
 
     wl = _workload()
     nranks = 96
-    labels = wl.decomposition(nranks).labels
+    labels = wl.rank_labels(nranks)
     snaps = _particle_snapshots()
     locator = ElementLocator(wl.airway, labels)
     digest = hashlib.sha256()

@@ -1,15 +1,11 @@
-"""Wall-clock instrumentation for the performance layer.
+"""Host-side instrumentation for the performance layer.
 
-These helpers measure *host* time (``time.perf_counter``) around simulated
-workloads — they never touch the DES clock, so attaching them cannot perturb
-simulated-time results.  The benchmark runner (:mod:`repro.perf.bench`)
-composes them into the ``BENCH_pr2.json`` report.
+These helpers tally *host* activity around simulated workloads — they never
+touch the DES clock, so attaching them cannot perturb simulated-time
+results.  The benchmark runner (:mod:`repro.perf.bench`) composes them into
+the ``BENCH_pr2.json`` report.
 
-* :class:`PhaseTimer` — named wall-clock accumulator with a context-manager
-  interface (``with timer.phase("assembly"): ...``);
 * :class:`Counters` — plain named event tallies;
-* :class:`ThroughputMeter` — units-per-second rates from (units, seconds)
-  pairs;
 * :func:`engine_counters` — snapshot of a DES engine's progress counters
   (events processed, simulated now, alive processes);
 * :func:`fluid_counters` — snapshot of the numeric fluid fast-path tallies
@@ -19,53 +15,9 @@ composes them into the ``BENCH_pr2.json`` report.
 
 from __future__ import annotations
 
-import time
-from contextlib import contextmanager
-from typing import Dict, Iterator
+from typing import Dict
 
-__all__ = ["PhaseTimer", "Counters", "ThroughputMeter", "engine_counters",
-           "fluid_counters"]
-
-
-class PhaseTimer:
-    """Accumulates wall-clock seconds per named phase.
-
-    Phases may be entered repeatedly (each ``with`` adds to the total) and
-    may nest as long as the nested phases have different names.
-    """
-
-    def __init__(self) -> None:
-        self._totals: Dict[str, float] = {}
-        self._counts: Dict[str, int] = {}
-        self._open: Dict[str, float] = {}
-
-    @contextmanager
-    def phase(self, name: str) -> Iterator[None]:
-        """Time one entry of phase ``name`` (re-entrant across calls)."""
-        if name in self._open:
-            raise ValueError(f"phase {name!r} is already open")
-        self._open[name] = time.perf_counter()
-        try:
-            yield
-        finally:
-            t0 = self._open.pop(name)
-            dt = time.perf_counter() - t0
-            self._totals[name] = self._totals.get(name, 0.0) + dt
-            self._counts[name] = self._counts.get(name, 0) + 1
-
-    def seconds(self, name: str) -> float:
-        """Accumulated wall-clock seconds of ``name`` (0.0 if never entered)."""
-        return self._totals.get(name, 0.0)
-
-    def entries(self, name: str) -> int:
-        """How many times ``name`` was entered."""
-        return self._counts.get(name, 0)
-
-    def report(self) -> Dict[str, dict]:
-        """``{phase: {"seconds": ..., "entries": ...}}`` for all phases."""
-        return {name: {"seconds": self._totals[name],
-                       "entries": self._counts[name]}
-                for name in self._totals}
+__all__ = ["Counters", "engine_counters", "fluid_counters"]
 
 
 class Counters:
@@ -85,39 +37,6 @@ class Counters:
     def report(self) -> Dict[str, float]:
         """A copy of all counters."""
         return dict(self._counts)
-
-
-class ThroughputMeter:
-    """Derives units-per-second rates from (units, wall seconds) samples.
-
-    One meter holds several named streams, e.g. ``events``, ``elements``,
-    ``particles`` — the units of the BENCH report's throughput block.
-    """
-
-    def __init__(self) -> None:
-        self._units: Dict[str, float] = {}
-        self._seconds: Dict[str, float] = {}
-
-    def record(self, name: str, units: float, seconds: float) -> None:
-        """Accumulate ``units`` produced in ``seconds`` of wall time."""
-        if seconds < 0:
-            raise ValueError(f"seconds must be >= 0, got {seconds}")
-        self._units[name] = self._units.get(name, 0.0) + units
-        self._seconds[name] = self._seconds.get(name, 0.0) + seconds
-
-    def rate(self, name: str) -> float:
-        """Units per second of stream ``name`` (0.0 with no elapsed time)."""
-        sec = self._seconds.get(name, 0.0)
-        if sec <= 0.0:
-            return 0.0
-        return self._units.get(name, 0.0) / sec
-
-    def report(self) -> Dict[str, dict]:
-        """``{stream: {"units": ..., "seconds": ..., "per_second": ...}}``."""
-        return {name: {"units": self._units[name],
-                       "seconds": self._seconds[name],
-                       "per_second": self.rate(name)}
-                for name in self._units}
 
 
 def engine_counters(engine) -> Dict[str, float]:

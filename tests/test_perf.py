@@ -17,13 +17,7 @@ from repro.particles import (
     ParticleState,
     inject_at_inlet,
 )
-from repro.perf import (
-    Counters,
-    PhaseTimer,
-    ThroughputMeter,
-    Toggles,
-    engine_counters,
-)
+from repro.perf import Counters, Toggles, engine_counters
 from repro.perf import toggles as toggles_mod
 from repro.sim import Engine
 from repro.smpi import World
@@ -76,31 +70,6 @@ class TestToggles:
 # -- instrumentation -------------------------------------------------------
 
 class TestInstrument:
-    def test_phase_timer_accumulates(self):
-        timer = PhaseTimer()
-        for _ in range(3):
-            with timer.phase("assembly"):
-                pass
-        assert timer.entries("assembly") == 3
-        assert timer.seconds("assembly") >= 0.0
-        assert timer.seconds("never") == 0.0
-        rep = timer.report()
-        assert rep["assembly"]["entries"] == 3
-
-    def test_phase_timer_rejects_reentrant_same_name(self):
-        timer = PhaseTimer()
-        with timer.phase("x"):
-            with pytest.raises(ValueError, match="already open"):
-                with timer.phase("x"):
-                    pass
-
-    def test_phase_timer_nests_different_names(self):
-        timer = PhaseTimer()
-        with timer.phase("outer"):
-            with timer.phase("inner"):
-                pass
-        assert timer.entries("outer") == timer.entries("inner") == 1
-
     def test_counters(self):
         c = Counters()
         c.add("events")
@@ -108,17 +77,6 @@ class TestInstrument:
         assert c.get("events") == 10
         assert c.get("missing") == 0
         assert c.report() == {"events": 10}
-
-    def test_throughput_meter(self):
-        m = ThroughputMeter()
-        m.record("elements", 500, 0.5)
-        m.record("elements", 500, 0.5)
-        assert m.rate("elements") == pytest.approx(1000.0)
-        assert m.rate("empty") == 0.0
-        rep = m.report()
-        assert rep["elements"]["units"] == 1000
-        with pytest.raises(ValueError):
-            m.record("bad", 1, -1.0)
 
     def test_engine_counters(self):
         eng = Engine()
