@@ -34,7 +34,6 @@ from ..core import (
 )
 from ..fem.fractional_step import FLUID_COUNTERS
 from ..machine import get_cluster
-from ..perf import toggles as _perf_toggles
 from ..smpi import RankDeadError, World
 from ..sim import Engine
 from ..trace import PhaseLog
@@ -269,18 +268,15 @@ class _RunContext:
         # across run_cfpd calls.  The cache rides in the Workload — itself
         # process-cached per spec — and is keyed by everything the graph
         # shapes depend on.
-        cache = None
-        cache_key = None
-        if _perf_toggles.TOGGLES.driver_graph_cache:
-            cache = workload.__dict__.setdefault("_driver_graph_cache", {})
-            cache_key = (
-                config.mode, fluid_n, particle_n, nthreads,
-                config.assembly_strategy, config.sgs_strategy,
-                config.strategy_params, config.subdomains_per_rank,
-                config.subdomain_min_shared, config.partition_method,
-                particle_chunks,
-                id(costs) if costs is not DEFAULT_COSTS else 0)
-        cached = cache.get(cache_key) if cache is not None else None
+        cache = workload.__dict__.setdefault("_driver_graph_cache", {})
+        cache_key = (
+            config.mode, fluid_n, particle_n, nthreads,
+            config.assembly_strategy, config.sgs_strategy,
+            config.strategy_params, config.subdomains_per_rank,
+            config.subdomain_min_shared, config.partition_method,
+            particle_chunks,
+            id(costs) if costs is not DEFAULT_COSTS else 0)
+        cached = cache.get(cache_key)
         if cached is not None:
             (self.assembly, self.sgs, self.solver1, self.solver2,
              self.halo_neighbors, self.particles, self.migration_bytes,
@@ -288,11 +284,10 @@ class _RunContext:
         else:
             self._build_graphs(config, costs, fluid_dd, hist, nthreads,
                                fluid_n, particle_n, particle_chunks)
-            if cache is not None:
-                cache[cache_key] = (
-                    self.assembly, self.sgs, self.solver1, self.solver2,
-                    self.halo_neighbors, self.particles,
-                    self.migration_bytes, self.sends, self.recvs)
+            cache[cache_key] = (
+                self.assembly, self.sgs, self.solver1, self.solver2,
+                self.halo_neighbors, self.particles,
+                self.migration_bytes, self.sends, self.recvs)
         self.sub_comms: dict = {}
 
     def _build_graphs(self, config, costs, fluid_dd, hist, nthreads,

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import Optional, Protocol
 
 from ..machine import CoreModel
-from ..perf import toggles as _perf_toggles
 from ..sim import Engine, Event
 from .taskgraph import Task, TaskGraph
 
@@ -237,14 +236,10 @@ class Team:
         self._done: Optional[Event] = None
         self._stats: Optional[GraphStats] = None
         self._hungry_notified = False
-        self._fast = _perf_toggles.TOGGLES.runtime_fast_path
-        # Heap-backed LPT ready queue (toggle captured at construction).
-        # Entries are (-instr, seq, task): popping the heap min yields the
-        # largest-instruction task, earliest arrival first — provably the
-        # same task the linear argmax scan (strict >, FIFO tie-break)
-        # selects, in O(log n) instead of O(n) per dispatch.
-        self._use_heap = (scheduler == "lpt"
-                          and _perf_toggles.TOGGLES.scheduler_heap)
+        # Heap-backed LPT ready queue.  Entries are (-instr, seq, task):
+        # popping the heap min yields the largest-instruction task, earliest
+        # arrival first (strict >, FIFO tie-break), in O(log n) per dispatch.
+        self._use_heap = scheduler == "lpt"
         self._heap: list = []
         self._seq = 0
         # Plan mode (engine_batch): simulate the whole graph execution up
@@ -255,8 +250,9 @@ class Team:
         # Mid-run set_capacity/set_slowdown append a timestamped epoch and
         # re-simulate the plan from the start — the already-executed prefix
         # replays float-identically, so the revised plan agrees with
-        # history and the future reflects the change.
-        self._plan_enabled = _perf_toggles.TOGGLES.engine_batch
+        # history and the future reflects the change.  The engine owns the
+        # batched-or-scalar decision (``engine_batch``, read once there).
+        self._plan_enabled = engine._batch
         self._plan: Optional[_Plan] = None
         self._plan_repeats = 1
         self._plan_cache: dict[int, _PlanTemplate] = {}
@@ -819,15 +815,12 @@ class Team:
     def _runnable_index(self) -> Optional[int]:
         """Index in the ready deque of the best runnable task, if any.
 
-        The default policy is largest-runnable-first (``lpt``): among
-        mutex-free ready tasks, pick the one with the most work — the
-        classic makespan heuristic, approximating what priority-aware task
-        runtimes (Nanos) do.  Ties (and equal-size chunked loops) keep FIFO
-        order, preserving the memory order of chunked traversals.
-
-        ``fifo`` takes the oldest runnable task (breadth-first, best
-        locality across a chunked traversal); ``lifo`` the newest
-        (depth-first, cache-hot dependents first).
+        Serves the deque-backed policies: ``fifo`` takes the oldest
+        runnable task (breadth-first, best locality across a chunked
+        traversal); ``lifo`` the newest (depth-first, cache-hot dependents
+        first).  The default ``lpt`` policy (largest runnable task first,
+        FIFO among equals) dispatches from the heap instead — see
+        :meth:`_dispatch_heap`.
         """
         held = self._held_refs
         ready = self._ready
@@ -838,30 +831,13 @@ class Team:
                 if task.mutex_refs.isdisjoint(held):
                     return i
             return None
-        if self.scheduler == "lifo":
-            if not held:
-                return len(ready) - 1 if ready else None
-            for i in range(len(ready) - 1, -1, -1):
-                if ready[i].mutex_refs.isdisjoint(held):
-                    return i
-            return None
-        best = None
-        best_instr = -1.0
+        # lifo
         if not held:
-            # no mutexes held: plain argmax, skip the per-task set test
-            for i, task in enumerate(ready):
-                if task._instr > best_instr:
-                    best = i
-                    best_instr = task._instr
-            return best
-        for i, task in enumerate(ready):
-            # instruction test first: it is cheaper than the set test and
-            # the update condition is conjunctive either way
-            instr = task._instr
-            if instr > best_instr and task.mutex_refs.isdisjoint(held):
-                best = i
-                best_instr = instr
-        return best
+            return len(ready) - 1 if ready else None
+        for i in range(len(ready) - 1, -1, -1):
+            if ready[i].mutex_refs.isdisjoint(held):
+                return i
+        return None
 
     def _push_ready(self, task: Task) -> None:
         """Add ``task`` to the LPT heap (seq = FIFO tie-break on equal work)."""
@@ -869,7 +845,10 @@ class Team:
         heapq.heappush(self._heap, (-task._instr, self._seq, task))
 
     def _dispatch_heap(self) -> None:
-        """Heap-backed dispatch, task-for-task identical to `_dispatch`.
+        """Heap-backed ``lpt`` dispatch: largest runnable task first — the
+        classic makespan heuristic, approximating what priority-aware task
+        runtimes (Nanos) do; equal-size chunked loops keep FIFO order,
+        preserving the memory order of chunked traversals.
 
         With mutexes held, blocked heap entries are popped aside and pushed
         back after the pick: each keeps its original seq, so future ordering
@@ -901,11 +880,7 @@ class Team:
             if self._stats is not None:
                 self._stats.max_concurrency = max(
                     self._stats.max_concurrency, self._active)
-            if self._fast:
-                self.engine.defer(self._start_task, task)
-            else:
-                self.engine.process(self._worker(task),
-                                    name=f"{self.name}.{task.label}")
+            self.engine.defer(self._start_task, task)
         if self.listener is not None and self._graph is not None:
             if self._active >= self._max_workers and heap:
                 if not self._hungry_notified:
@@ -928,15 +903,7 @@ class Team:
             if self._stats is not None:
                 self._stats.max_concurrency = max(
                     self._stats.max_concurrency, self._active)
-            if self._fast:
-                # Callback-based execution: posts the same bootstrap event a
-                # Process would, so the (time, seq) trajectory is identical —
-                # minus the generator frame, the Process object and its
-                # completion event.
-                self.engine.defer(self._start_task, task)
-            else:
-                self.engine.process(self._worker(task),
-                                    name=f"{self.name}.{task.label}")
+            self.engine.defer(self._start_task, task)
         # Appetite signalling for DLB: hungry if capacity-bound work remains.
         if self.listener is not None and self._graph is not None:
             if self._active >= self._max_workers and self._ready:
@@ -945,8 +912,7 @@ class Team:
                     self.listener.on_team_hungry(self)
 
     def _start_task(self, task: Task) -> None:
-        """Begin executing ``task`` (fast path; runs at bootstrap-event pop,
-        exactly where a worker generator would run up to its first yield)."""
+        """Begin executing ``task`` (runs when its dispatch deferral pops)."""
         t0 = self.engine.now
         core = self.core
         if task._dur_core is core:
@@ -963,8 +929,7 @@ class Team:
                                self._finish_task, task, t0, exec_seconds)
 
     def _finish_task(self, task: Task, t0: float, exec_seconds: float) -> None:
-        """Task completion bookkeeping (fast path; runs at timeout pop,
-        exactly where a worker generator would resume)."""
+        """Task completion bookkeeping (runs when the task's timer pops)."""
         t1 = self.engine.now
         stats = self._stats
         assert stats is not None
@@ -1004,12 +969,3 @@ class Team:
         else:
             self._hungry_notified = False
             self._dispatch()
-
-    def _worker(self, task: Task):
-        # Baseline (pre-PR-2) generator path, kept for before/after
-        # benchmarking; the fast path above is event-for-event equivalent.
-        t0 = self.engine.now
-        exec_seconds = self.core.seconds(task.work) * self.slowdown
-        duration = exec_seconds + self.task_overhead_s
-        yield self.engine.timeout(duration)
-        self._finish_task(task, t0, exec_seconds)

@@ -24,7 +24,7 @@ Everything is a pure function of simulated state: the trace is
 deterministic, the windows are a fixed partition, and ``scale_at`` /
 ``staleness`` / :meth:`CosimHub.transfer_summary` neither mutate the hub
 nor consult the wall clock.  Repeated queries — from a rerun, from the
-``engine_batch`` core, from any fluid-toggle combination — therefore
+``engine_batch`` core or the scalar one — therefore
 return bit-identical values, which is what lets the ventilator-coupled
 digest checks hold.
 """

@@ -13,9 +13,8 @@ centroid KD-tree per instance.
 This module computes the geometry once per (mesh, element-type, element-set)
 and hands the cached arrays to all consumers.  The cached values are
 produced by the *identical* floating-point operation sequence the kernels
-used inline, so consuming the cache is bit-identical to recomputing — the
-wall-clock-only contract of :mod:`repro.perf.toggles` (toggle
-``geometry_cache``).
+used inline, so consuming the cache is bit-identical to recomputing
+(checked against the inline reference in ``tests/oracles.py``).
 
 Cache management:
 
@@ -209,10 +208,12 @@ def _build_blocks(mesh: Mesh, element_ids: np.ndarray) -> list:
         ref = reference_element(etype)
         conn = mesh.elem_nodes[eids][:, :nn]
         xe = mesh.coords[conn]
-        # see repro.fem.assembly._geometry for the transposed-Jacobian rule
+        # J[e,q,i,j] = sum_n dN[q,n,i] * xe[e,n,j]  =  dx_j / dxi_i
         J = np.einsum("qni,enj->eqij", ref.dN, xe)
         detJ = np.linalg.det(J)
         invJ = np.linalg.inv(J)
+        # chain rule: dN/dx_j = dN/dxi_i * dxi_i/dx_j, and since J is the
+        # transposed conventional Jacobian, dxi_i/dx_j = invJ[j, i].
         grads = np.einsum("qni,eqji->eqnj", ref.dN, invJ)
         dvol = np.abs(detJ) * ref.weights[None, :]
         vol = dvol.sum(axis=1)

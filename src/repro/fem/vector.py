@@ -21,11 +21,9 @@ from typing import Optional
 import numpy as np
 from scipy import sparse
 
-from ..mesh.elements import ElementType, NODES_PER_TYPE
+from ..mesh.elements import NODES_PER_TYPE
 from ..mesh.mesh import Mesh
-from ..perf import toggles as _perf_toggles
 from . import geometry as _geom
-from .assembly import _geometry
 from .shape import reference_element
 
 __all__ = ["vector_operator", "vector_expansion_perm", "gradient_operator",
@@ -100,29 +98,16 @@ def vector_expansion_perm(scalar: sparse.csr_matrix, n: int
     return perm, vec.indices, vec.indptr
 
 
-def _build_coupling(mesh: Mesh, use_geom: bool) -> sparse.csr_matrix:
+def _build_coupling(mesh: Mesh) -> sparse.csr_matrix:
     """Assemble the (n x 3n) weak-gradient coupling matrix."""
     n = mesh.nnodes
     rows, cols, vals = [], [], []
-    if use_geom:
-        type_blocks = [(blk.etype, blk.conn, blk.grads, blk.dvol)
-                       for blk in _geom.geometry_blocks(mesh)]
-    else:
-        type_blocks = []
-        for etype in ElementType:
-            ids = mesh.elements_of_type(etype)
-            if len(ids) == 0:
-                continue
-            nn = NODES_PER_TYPE[etype]
-            ref = reference_element(etype)
-            conn = mesh.elem_nodes[ids][:, :nn]
-            grads, dvol = _geometry(mesh.coords, conn, ref)
-            type_blocks.append((etype, conn, grads, dvol))
-    for etype, conn, grads, dvol in type_blocks:
-        nn = NODES_PER_TYPE[etype]
-        ref = reference_element(etype)
+    for blk in _geom.geometry_blocks(mesh):
+        nn = NODES_PER_TYPE[blk.etype]
+        ref = reference_element(blk.etype)
+        conn = blk.conn
         # Ge[e, a, b, c] = sum_q N_a(q) dN_b/dx_c(q) w_q |J|
-        Ge = np.einsum("qa,eqbc,eq->eabc", ref.N, grads, dvol)
+        Ge = np.einsum("qa,eqbc,eq->eabc", ref.N, blk.grads, blk.dvol)
         for a in range(nn):
             for b in range(nn):
                 for c in range(3):
@@ -139,19 +124,17 @@ def _build_coupling(mesh: Mesh, use_geom: bool) -> sparse.csr_matrix:
 def _pressure_velocity_coupling(mesh: Mesh) -> sparse.csr_matrix:
     """G[i, 3j+c] = integral N_i dN_j/dx_c dV  (the weak gradient).
 
-    With the ``geometry_cache`` toggle the assembled matrix itself is
-    cached per mesh (it is fully static), so the gradient and divergence
-    operators of one solver setup share a single build.  Treat the returned
-    matrix as read-only.
+    The assembled matrix itself is cached per mesh (it is fully static,
+    under the geometry cache's invalidation), so the gradient and
+    divergence operators of one solver setup share a single build.  Treat
+    the returned matrix as read-only.
     """
-    if _perf_toggles.TOGGLES.geometry_cache:
-        def build():
-            coupling = _build_coupling(mesh, use_geom=True)
-            nbytes = (coupling.data.nbytes + coupling.indices.nbytes
-                      + coupling.indptr.nbytes)
-            return coupling, nbytes
-        return _geom.cached_extra(mesh, "pv_coupling", build)
-    return _build_coupling(mesh, use_geom=False)
+    def build():
+        coupling = _build_coupling(mesh)
+        nbytes = (coupling.data.nbytes + coupling.indices.nbytes
+                  + coupling.indptr.nbytes)
+        return coupling, nbytes
+    return _geom.cached_extra(mesh, "pv_coupling", build)
 
 
 def gradient_operator(mesh: Mesh) -> sparse.csr_matrix:

@@ -18,7 +18,6 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from ..mesh.generator import AirwayMesh
-from ..perf import toggles as _perf_toggles
 from .flowfield import AirwayFlow
 from .forces import (
     FluidProperties,
@@ -158,7 +157,7 @@ def inject_at_inlet(airway: AirwayMesh, n_particles: int,
 
 
 class _NewmarkBuffers:
-    """Preallocated buffers for the fused Newmark update (one per tracker,
+    """Preallocated buffers for the Newmark update (one per tracker,
     grown to the largest active count seen; sliced per step)."""
 
     def __init__(self, n: int):
@@ -192,20 +191,16 @@ class NewmarkTracker:
         self.gamma = gamma
         self._g_eff = gravity_buoyancy_acceleration(self.particles,
                                                     self.fluid)
-        # toggles captured at construction (long-lived object)
-        self._compact = _perf_toggles.TOGGLES.particle_compaction
-        self._fused = _perf_toggles.TOGGLES.particle_fused_step
         # locate reuse needs the split locate/velocity API; other carrier
-        # fields (e.g. MeshVelocityField hybrids) keep the plain path
-        self._fused_velocity = (self._fused
-                                and hasattr(flow, "velocity_from_locate"))
+        # fields (e.g. MeshVelocityField hybrids) keep plain ``velocity``
+        self._reuse_locate = hasattr(flow, "velocity_from_locate")
         # active-set compaction: a stable permutation of particle ids with
         # the active ones in a contiguous prefix; frozen particles swap to
         # the tail once.  ``_status_ref`` detects external status edits.
         self._order: Optional[np.ndarray] = None
         self._nact = 0
         self._status_ref: Optional[np.ndarray] = None
-        # cross-step locate reuse (fused): the boundary pass locates every
+        # cross-step locate reuse: the boundary pass locates every
         # active particle's *post-move* position; those positions are
         # exactly what the next step's velocity evaluation locates again.
         # Cached per absolute particle id; a bitwise position comparison
@@ -217,9 +212,7 @@ class NewmarkTracker:
         self._newmark_ws: Optional[_NewmarkBuffers] = None
 
     def _active_indices(self, state: ParticleState) -> np.ndarray:
-        """Ids of active particles — ascending, or the compacted prefix."""
-        if not self._compact:
-            return np.nonzero(state.status == STATUS_ACTIVE)[0]
+        """Ids of active particles: the compacted prefix of ``_order``."""
         n = state.n
         if (self._order is None or len(self._order) != n
                 or not np.array_equal(state.status, self._status_ref)):
@@ -235,13 +228,13 @@ class NewmarkTracker:
                         x: np.ndarray) -> np.ndarray:
         """Carrier velocity at ``x`` (= ``state.x[idx]``).
 
-        Fused path: rows whose position is bitwise-equal to the one the
-        previous boundary pass located reuse that locate result — the
+        Rows whose position is bitwise-equal to the one the previous
+        boundary pass located reuse that locate result — the
         velocity profile is then applied through
         :meth:`AirwayFlow.velocity_from_locate`, the exact op sequence of
         :meth:`AirwayFlow.velocity`.
         """
-        if not self._fused_velocity:
+        if not self._reuse_locate:
             return self.flow.velocity(x)
         n = state.n
         if self._loc_valid is None or len(self._loc_valid) != n:
@@ -277,7 +270,7 @@ class NewmarkTracker:
         inhale/pause/exhale transient to the drag force.  The default 1.0
         takes the exact pre-existing code path (no multiply), so legacy
         trajectories replay bit for bit; any other value scales ``u_f``
-        identically in the fused and plain Newmark paths.
+        before the Newmark update.
         """
         idx = self._active_indices(state)
         if len(idx) == 0:
@@ -297,25 +290,17 @@ class NewmarkTracker:
         # solve for v1 (k treated constant over the step):
         #   v1 (1 + g dt k/m) = v + dt (1-g) a0 + g dt (k u_f / m + g_eff)
         gdt = self.gamma * dt
-        if self._fused:
-            x1, v1, a1 = self._newmark_fused(x, v, a, u_f, k, m, dt, gdt)
-        else:
-            denom = 1.0 + gdt * k / m
-            v1 = (v + dt * (1.0 - self.gamma) * a
-                  + gdt * (k * u_f / m + self._g_eff)) / denom
-            a1 = k * (u_f - v1) / m + self._g_eff
-            x1 = (x + dt * v
-                  + dt * dt * ((0.5 - self.beta) * a + self.beta * a1))
+        x1, v1, a1 = self._newmark(x, v, a, u_f, k, m, dt, gdt)
         state.x[idx], state.v[idx], state.a[idx] = x1, v1, a1
         self._apply_boundaries(state, idx, x1)
         return state
 
-    def _newmark_fused(self, x, v, a, u_f, k, m, dt, gdt):
+    def _newmark(self, x, v, a, u_f, k, m, dt, gdt):
         """The Newmark update through preallocated buffers.
 
-        Every ``out=`` ufunc call mirrors one node of the baseline
-        expression tree; the only reorderings are scalar-side swaps of
-        commutative IEEE add/multiply, which are bitwise-exact.
+        Every ``out=`` ufunc call mirrors one node of the expression tree
+        spelled out in the comments; the only reorderings are scalar-side
+        swaps of commutative IEEE add/multiply, which are bitwise-exact.
         """
         n = len(x)
         w = self._newmark_ws
@@ -373,13 +358,13 @@ class NewmarkTracker:
         frozen = idx[frozen_mask]
         state.v[frozen] = 0.0
         state.a[frozen] = 0.0
-        if (self._fused_velocity and self._loc_valid is not None
+        if (self._reuse_locate and self._loc_valid is not None
                 and len(self._loc_valid) == state.n):
             self._loc_x[idx] = x1
             self._loc_seg[idx] = seg_idx
             self._loc_radial[idx] = radial
             self._loc_valid[idx] = True
-        if self._compact and self._order is not None and len(frozen):
+        if self._order is not None and len(frozen):
             # stable swap-to-tail: survivors keep their relative order,
             # the newly frozen join the head of the frozen tail
             keep = idx[~frozen_mask]
@@ -402,9 +387,6 @@ class ElementLocator:
         self._centroids = self.mesh.centroids()
         self._tree = cKDTree(self._centroids)
         self.labels = labels
-        self._warm = _perf_toggles.TOGGLES.particle_warm_start
-        # warm-start subsumes the PR 2 frozen-particle cache
-        self._fast = _perf_toggles.TOGGLES.locator_active_only or self._warm
         self._adj = None          # ElementAdjacency, built on first warm use
         # Per-particle element cache for population-level queries: a frozen
         # (deposited/escaped) particle never moves again, so its element is
@@ -441,9 +423,6 @@ class ElementLocator:
         """
         n = state.n
         active = state.status == STATUS_ACTIVE
-        if not self._fast:
-            return (self.elements_of(state.x).astype(np.intp, copy=False),
-                    active)
         if len(self._cached_eids) < n:
             # population grew (repeated injections): extend the cache
             grow = n - len(self._cached_eids)
@@ -458,24 +437,23 @@ class ElementLocator:
         need = active | ~valid
         if need.any():
             need_idx = np.nonzero(need)[0]
-            if self._warm:
+            known = self._host_known[need_idx]
+            warm_idx = need_idx[known]
+            cold_idx = need_idx[~known]
+            if len(warm_idx):
+                # warm start from the cached host (locator_fast)
                 if self._adj is None:
                     from ..fem.geometry import element_adjacency
                     from .locator_fast import squared_radii
                     self._adj = element_adjacency(self.mesh)
                     self._r2 = squared_radii(self._adj)
-                known = self._host_known[need_idx]
-                warm_idx = need_idx[known]
-                cold_idx = need_idx[~known]
-                if len(warm_idx):
-                    from .locator_fast import warm_locate
-                    found, _ = warm_locate(
-                        self._tree, self._centroids, self._adj,
-                        state.x[warm_idx], eids[warm_idx], r2=self._r2)
-                    eids[warm_idx] = found
-            else:
-                cold_idx = need_idx
+                from .locator_fast import warm_locate
+                found, _ = warm_locate(
+                    self._tree, self._centroids, self._adj,
+                    state.x[warm_idx], eids[warm_idx], r2=self._r2)
+                eids[warm_idx] = found
             if len(cold_idx):
+                # no host known yet: the exact global KD-tree query
                 _, found = self._tree.query(state.x[cold_idx])
                 eids[cold_idx] = found
             self._host_known[need_idx] = True

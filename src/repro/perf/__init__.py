@@ -1,18 +1,18 @@
-"""Performance layer: measurement harness + fast-path toggles (PR 2).
+"""Performance layer: measurement harness + the ``engine_batch`` switch.
 
 Two halves:
 
 * **measurement** — :mod:`repro.perf.instrument` (counters, engine and
   fluid counter snapshots) and :mod:`repro.perf.bench` (the benchmark
-  runner that emits ``BENCH_pr2.json``; run it with
+  runner that emits a ``BENCH_*.json`` report; run it with
   ``python -m repro.perf.bench``);
-* **optimization control** — :mod:`repro.perf.toggles`, the switches gating
-  every PR 2 fast path so before/after can be measured from one build.
+* **engine control** — :mod:`repro.perf.toggles`, the ``engine_batch``
+  switch between the batched event core and its scalar reference.
 
-Attribute access is lazy (PEP 562): low-level modules (``sim``, ``smpi``,
-``core``, ``fem``, ``particles``) import ``repro.perf.toggles`` at import
-time, while ``repro.perf.bench`` imports the application layer — eager
-re-exports here would create an import cycle.
+Attribute access is lazy (PEP 562): ``sim.engine`` imports
+``repro.perf.toggles`` at import time, while ``repro.perf.bench`` imports
+the application layer — eager re-exports here would create an import
+cycle.
 """
 
 from __future__ import annotations
@@ -21,15 +21,13 @@ __all__ = [
     "Toggles",
     "TOGGLES",
     "set_toggles",
-    "baseline",
     "configured",
     "Counters",
     "engine_counters",
     "run_benchmarks",
 ]
 
-_TOGGLE_NAMES = {"Toggles", "TOGGLES", "set_toggles", "baseline",
-                 "configured"}
+_TOGGLE_NAMES = {"Toggles", "TOGGLES", "set_toggles", "configured"}
 _INSTRUMENT_NAMES = {"Counters", "engine_counters"}
 
 

@@ -1,19 +1,29 @@
 """Benchmark runner: the BENCH JSON trajectory of the performance layer.
 
-Runs representative workloads twice — once with every fast path disabled
-(:func:`repro.perf.toggles.baseline`, the pre-PR-2 code paths, all kept in
-the tree for exactly this purpose) and once with the current defaults — and
-emits a machine-readable before/after report.
+Times representative workloads of the current code and emits a
+machine-readable report.  Most rows are *after-only*: they time the
+current code paths, and their regression gate is the cross-PR trajectory
+against the newest committed ``BENCH_prN.json`` (``--baseline``).  Rows
+that compare two execution models still in the tree — deflation setup
+per call vs amortized (``pressure_solve``), fixed vs adaptive Δt
+(``time_to_endpoint``), hub-less vs buffered coupling
+(``breathing_cycle``), cold process per job vs warm pool
+(``campaign_throughput``) — time both sides in-build and gate the
+speedup between them.
 
 Usage::
 
     PYTHONPATH=src python -m repro.perf.bench                 # full run
     PYTHONPATH=src python -m repro.perf.bench --quick         # CI smoke
-    PYTHONPATH=src python -m repro.perf.bench --compare BENCH_pr5.json \
+    PYTHONPATH=src python -m repro.perf.bench --compare BENCH_pr10.json \
         --baseline auto
     PYTHONPATH=src python -m repro.perf.bench --digest-check engine_batch
     PYTHONPATH=src python -m repro.perf.bench --digest-check engine_batch \
         --digest-workload adaptive
+
+The report goes to ``BENCH_local.json`` unless ``--out`` names another
+path; committed reports are written with an explicit
+``--out BENCH_prN.json``.
 
 ``--compare`` exits non-zero when any benchmark is more than
 ``SLOWDOWN_TOLERANCE`` times slower than the committed baseline report —
@@ -24,30 +34,24 @@ comparable (within the 2x gate) to a committed full-mode report.
 ``--baseline`` additionally gates the cross-PR *trajectory*: the current
 after-times are compared against the previous PR's committed report (its
 after-times are this PR's starting point) and the run fails if any
-``kernel`` or ``micro`` benchmark regresses beyond host drift — the
+``kernel`` or ``micro`` benchmark, or any ``end_to_end`` benchmark
+without an in-build speedup gate, regresses beyond host drift — the
 median kernel ratio between the two reports — times the noise floor (see
 :func:`trajectory_check`).  The comparison, including the estimated
 drift factor, is recorded in the report's ``trajectory`` section.
 ``--baseline auto`` resolves the newest committed ``BENCH_prN.json``
-below the current PR number — PRs that shipped no bench report (PR 6)
-simply don't break the chain.
+below the output's PR number (any committed report for an output name
+without one) — gaps in the report numbering simply don't break the
+chain.
 
-``--digest-check TOGGLE`` skips the timing suite entirely and runs the
-default end-to-end configuration twice — once with ``TOGGLE`` forced off,
-once with the current defaults — failing if the simulated digests differ:
-the per-push form of the wall-clock-only contract.
-``--digest-workload adaptive`` runs the same check through the adaptive
-time-stepping paths instead (CFL-controlled tube flow for the fluid
-toggles, a local-adaptive transient end-to-end spec otherwise);
-``--digest-workload breathing`` through the ventilator-coupled cosim
-paths (hub-driven inlet rescale on the tube solver for the fluid
-toggles, the gated-injection ventilator spec end-to-end otherwise);
-``--digest-workload dlb`` through DLB — the default spec with
-``dlb=True``, sync and coupled with 64 fluid ranks.
-
-Every end-to-end benchmark also records a digest of the simulated-time
-results under both toggle states: the report itself re-checks the PR's
-bit-identicality contract.
+``--digest-check engine_batch`` skips the timing suite entirely and runs
+the default end-to-end configuration twice — once on the scalar event
+core (``engine_batch`` off), once on the batched core — failing if the
+simulated digests differ.  ``engine_batch`` is the only accepted name.
+``--digest-workload adaptive`` runs the same check on a local-adaptive
+transient spec; ``--digest-workload breathing`` on the gated-injection
+ventilator spec; ``--digest-workload dlb`` through DLB — the default
+spec with ``dlb=True``, sync and coupled with 64 fluid ranks.
 """
 
 from __future__ import annotations
@@ -81,7 +85,10 @@ TRAJECTORY_NOISE_FLOOR = 0.9
 TRAJECTORY_QUICK_FLOOR = 0.85
 
 _SCHEMA = "repro-bench-v1"
-_DEFAULT_OUT = "BENCH_pr10.json"
+#: default report path: carries no PR number, so a bare run never
+#: overwrites a committed ``BENCH_prN.json`` and ``--baseline auto``
+#: resolves the newest committed report
+_DEFAULT_OUT = "BENCH_local.json"
 
 #: documented accuracy contract of the adaptive time-to-endpoint row:
 #: relative L2 distance of the adaptive endpoint velocity from the fine
@@ -92,8 +99,8 @@ ENDPOINT_ACCURACY_TOL = 0.05
 def _best_of(fn: Callable[[], object], repeats: int) -> tuple[float, object]:
     """Smallest wall-clock of ``repeats`` calls (and the last result).
 
-    The cyclic collector is paused around the timed calls (both toggle
-    states get the same treatment): on measurements in the 100 ms range a
+    The cyclic collector is paused around the timed calls (both sides of
+    a before/after row get the same treatment): on measurements in the 100 ms range a
     generational pass over the cached workload structures costs several
     percent and lands on random repeats, which is exactly the noise a
     best-of protocol cannot average away.
@@ -128,10 +135,11 @@ def _engine_events_workload() -> int:
     scalar engine pays one heap operation per event for and the batched
     engine retires as one calendar bucket.
 
-    Returns the *scalar-equivalent* event count via a second accounting:
-    ``eng.events_processed`` differs by design between the two engines
-    (the plan path schedules one event per graph), so the row reports the
-    before-side count as the workload size.
+    Returns the number of dispatches the workload asks for — task
+    executions plus chain callbacks.  That count is a property of the
+    workload, not of the engine: ``eng.events_processed`` differs by
+    design between the two cores (the plan path schedules one event per
+    graph).
     """
     from ..core import Team, TaskGraph
     from ..machine import CoreModel, WorkSpec
@@ -144,16 +152,19 @@ def _engine_events_workload() -> int:
     graph = TaskGraph()
     for _ in range(6):
         graph.add_task(WorkSpec(1e3))
-    teams = [Team(eng, core, 1) for _ in range(16)]
+    n_teams, n_runs = 16, 25
+    teams = [Team(eng, core, 1) for _ in range(n_teams)]
 
     def prog(team):
-        for _ in range(25):
+        for _ in range(n_runs):
             yield from team.run(graph)
 
     for team in teams:
         eng.process(prog(team))
+    ticks = [0]
 
     def tick(chain, r):
+        ticks[0] += 1
         if r:
             if r % 4:
                 eng.defer(tick, chain, r - 1)
@@ -163,7 +174,7 @@ def _engine_events_workload() -> int:
     for i in range(48):
         eng.call_later(1e-6, tick, i, 100)
     eng.run()
-    return eng.events_processed
+    return n_teams * n_runs * len(graph) + ticks[0]
 
 
 def _engine_events_manyrank_workload() -> float:
@@ -229,10 +240,10 @@ def _assembly_workload() -> str:
     """Repeated operator assembly on the default airway mesh.
 
     The digest covers what the simulated-time layer consumes — the sparsity
-    structure and the per-element work meters — which are exact across
-    toggle states.  The matrix *values* agree only to the last ulp
-    (duplicate-summation order differs from SciPy's ``tocsr``; asserted at
-    1e-12 in ``tests/test_perf.py``), so they stay out of the digest.
+    structure and the per-element work meters.  The matrix *values* agree
+    with a monolithic ``tocsr`` assembly only to the last ulp
+    (duplicate-summation order differs; asserted at 1e-12 in
+    ``tests/test_perf.py``), so they stay out of the digest.
     """
     from ..fem import assemble_operator
 
@@ -287,14 +298,12 @@ def _sgs_workload() -> float:
 # -- numeric fluid workload pieces -------------------------------------------
 
 #: (mesh, bc) of the straight-tube flow problem driving the fluid rows;
-#: built once, untimed (the mesh and BCs are toggle-neutral inputs)
+#: built once, untimed
 _FLUID_TUBE: Optional[tuple] = None
 
-#: (before_solver, after_solver, u0, p0) — the fractional-step solver pair;
-#: the before side is constructed with the fluid fast paths off (the
-#: ``fluid_operator_recycle`` / ``deflation_setup_cache`` toggles are
-#: captured at construction), the after side with the current defaults
-_FLUID_SOLVERS: Optional[tuple] = None
+#: (solver, u0, p0) — the warm fractional-step solver of the
+#: ``fractional_step`` row
+_FLUID_SOLVER: Optional[tuple] = None
 
 #: (A, groups, rhs list) of the pressure-solve row: an SPD pressure-like
 #: Poisson system on a structured tet cube with a large RCB coarse space
@@ -331,33 +340,25 @@ def _fluid_tube() -> tuple:
     return _FLUID_TUBE
 
 
-def _fluid_solvers() -> tuple:
-    """Construct the before/after fractional-step solver pair (untimed).
-
-    Solver construction captures the ``fluid_operator_recycle`` and
-    ``deflation_setup_cache`` toggles, so the before side must be built
-    under :func:`~repro.perf.toggles.configured` with them off; the timed
-    row then measures pure per-step cost on warm solvers.
-    """
-    global _FLUID_SOLVERS
-    if _FLUID_SOLVERS is None:
+def _fluid_solver() -> tuple:
+    """Construct the fractional-step solver (untimed), so the timed row
+    measures pure per-step cost on a warm solver."""
+    global _FLUID_SOLVER
+    if _FLUID_SOLVER is None:
         from ..fem import FractionalStepSolver
-        from .toggles import configured
 
         mesh, bc = _fluid_tube()
-        kwargs = dict(viscosity=1e-3, density=1.0, dt=1e-3)
-        with configured(fluid_operator_recycle=False,
-                        deflation_setup_cache=False, krylov_buffers=False):
-            before = FractionalStepSolver(mesh, bc, **kwargs)
-        after = FractionalStepSolver(mesh, bc, **kwargs)
-        _FLUID_SOLVERS = (before, after, after.u.copy(), after.p.copy())
-    return _FLUID_SOLVERS
+        solver = FractionalStepSolver(mesh, bc, viscosity=1e-3, density=1.0,
+                                      dt=1e-3)
+        _FLUID_SOLVER = (solver, solver.u.copy(), solver.p.copy())
+    return _FLUID_SOLVER
 
 
-def _fractional_step_run(solver, u0, p0) -> str:
+def _fractional_step_workload() -> str:
     """Reset the fields and advance 10 steps (the startup regime, where
     per-step setup dominates the short Krylov solves); digest covers the
     final velocity/pressure bytes and the per-step iteration counts."""
+    solver, u0, p0 = _fluid_solver()
     solver.u = u0.copy()
     solver.p = p0.copy()
     infos = solver.run(10, tol=1e-4)
@@ -367,23 +368,6 @@ def _fractional_step_run(solver, u0, p0) -> str:
     digest.update(repr([(i.momentum_iterations, i.pressure_iterations)
                         for i in infos]).encode())
     return digest.hexdigest()
-
-
-def _fractional_step_after() -> str:
-    before, after, u0, p0 = _fluid_solvers()
-    return _fractional_step_run(after, u0, p0)
-
-
-def _fractional_step_before() -> str:
-    """The pre-PR-8 per-step path: COO vector expansion + LIL Dirichlet row
-    replacement + full Jacobi rebuild every step, allocating Krylov cores
-    (``krylov_buffers`` is read per solve, so it is forced off here too)."""
-    from .toggles import configured
-
-    before, after, u0, p0 = _fluid_solvers()
-    with configured(fluid_operator_recycle=False,
-                    deflation_setup_cache=False, krylov_buffers=False):
-        return _fractional_step_run(before, u0, p0)
 
 
 def _cube_tet_mesh(n: int):
@@ -571,19 +555,14 @@ def _endpoint_adaptive() -> dict:
 
 def _endpoint_detail(before: dict, after: dict) -> dict:
     """Accuracy and determinism cross-checks of the time-to-endpoint row
-    (untimed): endpoint error vs the fine fixed-Δt reference, a rerun, and
-    the adaptive run with every fluid fast path forced off — the digests
-    of all three must match bit for bit."""
+    (untimed): endpoint error vs the fine fixed-Δt reference, and a rerun
+    whose digest must match bit for bit (the adaptive digest itself is
+    pinned in ``tests/test_adaptive.py``)."""
     import numpy as np
-
-    from .toggles import configured
 
     err = float(np.linalg.norm(after["u"] - before["u"])
                 / np.linalg.norm(before["u"]))
     rerun = _endpoint_adaptive()
-    with configured(fluid_operator_recycle=False,
-                    deflation_setup_cache=False, krylov_buffers=False):
-        toggled = _endpoint_adaptive()
     return {
         "steps_fixed": before["steps"],
         "steps_adaptive": after["steps"],
@@ -594,9 +573,7 @@ def _endpoint_detail(before: dict, after: dict) -> dict:
         "simulated_digest": {
             "after": after["digest"],
             "rerun": rerun["digest"],
-            "fast_paths_off": toggled["digest"],
-            "identical": after["digest"] == rerun["digest"]
-            == toggled["digest"],
+            "identical": after["digest"] == rerun["digest"],
         },
     }
 
@@ -626,14 +603,9 @@ def _krylov_system() -> tuple:
 
 
 def _krylov_cg_workload() -> str:
-    """Repeated tight-tolerance Jacobi-CG solves on the prebuilt system.
-
-    The matrix is toggle-neutral setup, so the standard baseline-vs-default
-    mechanism isolates the ``krylov_buffers`` allocation-free cores; the
-    buffered iteration replays the allocating cores' FP operations in the
-    same order, so the digest (solution bytes + iteration counts) is
-    bit-identical by design.
-    """
+    """Repeated tight-tolerance Jacobi-CG solves on the prebuilt system:
+    the allocation-free Krylov cores on an iteration-heavy small system;
+    digest covers solution bytes + iteration counts."""
     from ..solver import cg
 
     A, M, bs = _krylov_system()
@@ -643,7 +615,7 @@ def _krylov_cg_workload() -> str:
 
 #: (trace, times) of the breathing-cycle row: a multi-cycle ventilator
 #: flow trace plus the solver-side query schedule; built once, untimed
-#: (the 0D integration is a toggle-neutral input to both sides)
+#: (the 0D integration is an input shared by both sides)
 _COSIM_TRACE: Optional[tuple] = None
 
 
@@ -691,8 +663,10 @@ def _breathing_cycle_unbuffered() -> str:
     trace, times = _cosim_trace()
     return _hub_forward_digest(
         lambda t: CosimHub(trace).scale_at(t), trace, times)
-#: particle benchmark row (toggle-neutral: trackers are bit-identical
-#: across toggle states, which ``tests/test_perf_identical.py`` enforces)
+
+
+#: (x, v, a, status) of a pre-rolled particle population for the particle
+#: rows; built once, untimed
 _PARTICLE_PREROLL: Optional[tuple] = None
 
 #: precomputed (positions, status) per step of a depositing trajectory;
@@ -755,8 +729,8 @@ def _particle_snapshots() -> list:
 
 def _tracker_step_workload() -> str:
     """60 transport steps at the simulation dt from the pre-rolled
-    population (fresh tracker per call — toggles captured at
-    construction); digest covers the full final particle state."""
+    population (fresh tracker per call, so every call pays the same
+    buffer warm-up); digest covers the full final particle state."""
     import numpy as np
 
     from ..particles import (FluidProperties, NewmarkTracker,
@@ -776,7 +750,7 @@ def _tracker_step_workload() -> str:
 
 def _interpolation_workload() -> str:
     """Mesh-field velocity interpolation at the pre-rolled particle
-    positions (fresh field per call — toggles captured at construction)."""
+    positions (fresh field per call)."""
     from ..particles.interpolation import MeshVelocityField
 
     wl = _workload()
@@ -897,23 +871,28 @@ def _campaign_setup() -> None:
 # -- benchmark table ---------------------------------------------------------
 
 def _benchmark_table(quick: bool) -> list[dict]:
-    """(name, kind, callable, throughput units) rows for this mode."""
+    """(name, kind, callable, throughput units) rows for this mode.
+
+    A row without ``before_fn`` is after-only (gated by the trajectory
+    check); a row with one times both execution models and gates the
+    speedup between them at ``min_speedup``.
+    """
     table = [
         # micro rows finish in milliseconds, so their relative timing noise
         # is the largest in the table: they get a deeper best-of (still
         # the cheapest rows by far) to land on the floor reliably
         {"name": "engine_events", "kind": "micro",
-         "fn": _engine_events_workload, "units": "events", "warmup": True,
-         "repeats": 7, "min_speedup": 4.0,
-         "note": "units count is the before-side (scalar) event total: the "
-                 "batched engine retires the same workload through plans "
-                 "and cohorts, so its own events_processed is lower by "
-                 "design"},
+         "fn": _engine_events_workload, "units": "dispatches",
+         "warmup": True, "repeats": 7,
+         "note": "units count is the workload's task executions plus "
+                 "chain callbacks, returned by the workload itself: the "
+                 "batched engine retires them through plans and cohorts, "
+                 "so its events_processed is lower by design"},
         {"name": "engine_events_manyrank", "kind": "micro",
          "fn": _engine_events_manyrank_workload, "units": None,
-         "warmup": True, "repeats": 7, "min_speedup": 2.0,
+         "warmup": True, "repeats": 7,
          "note": "96-rank p2p ring + allreduce/barrier, token compute: "
-                 "gates the engine/comm dispatch stack at production rank "
+                 "times the engine/comm dispatch stack at production rank "
                  "counts"},
         {"name": "collectives", "kind": "micro",
          "fn": _collectives_workload, "units": None, "warmup": True,
@@ -930,18 +909,12 @@ def _benchmark_table(quick: bool) -> list[dict]:
         {"name": "sgs", "kind": "kernel",
          "fn": _sgs_workload, "units": "elements", "warmup": True,
          "unit_count": lambda: 10 * _workload().mesh.nelem},
-        # before/after compare solver *construction states* (the fluid
-        # toggles are captured at construction), so both sides are prebuilt
-        # in setup and the before side re-enters configured() per call for
-        # the per-solve krylov_buffers read
         {"name": "fractional_step", "kind": "kernel",
-         "fn": _fractional_step_after, "before_fn": _fractional_step_before,
-         "setup": _fluid_solvers, "units": "steps", "repeats": 7,
-         "unit_count": lambda: 10, "min_speedup": 2.0,
-         "note": "before = COO vector expansion + LIL Dirichlet rows + "
-                 "Jacobi rebuild per step, allocating Krylov cores; after "
-                 "= one composed gather into the precomputed constrained "
-                 "pattern (fluid_operator_recycle) + buffered cores"},
+         "fn": _fractional_step_workload, "setup": _fluid_solver,
+         "units": "steps", "repeats": 7, "unit_count": lambda: 10,
+         "note": "one composed gather per step into the precomputed "
+                 "constrained momentum pattern + allocation-free Krylov "
+                 "cores"},
         {"name": "pressure_solve", "kind": "kernel",
          "fn": _pressure_solve_cached, "before_fn": _pressure_solve_per_call,
          "setup": _pressure_system, "units": "solves", "repeats": 3,
@@ -950,9 +923,8 @@ def _benchmark_table(quick: bool) -> list[dict]:
                  "solve; after = one DeflationSetup (built inside the "
                  "timed region) amortized over the RHS batch"},
         # before/after compare *time-stepping policies* on the same code
-        # (fixed fine Δt vs the CFL-controlled ladder), not toggle states;
-        # the detail hook cross-checks endpoint accuracy and bit-identical
-        # digests across a rerun and the fluid fast paths forced off
+        # (fixed fine Δt vs the CFL-controlled ladder); the detail hook
+        # cross-checks endpoint accuracy and a bit-identical rerun
         {"name": "time_to_endpoint", "kind": "kernel",
          "fn": _endpoint_adaptive, "before_fn": _endpoint_fixed,
          "setup": _adaptive_endpoint, "units": None, "repeats": 3,
@@ -963,13 +935,13 @@ def _benchmark_table(quick: bool) -> list[dict]:
                  "timed on both sides)"},
         {"name": "krylov_cg", "kind": "kernel",
          "fn": _krylov_cg_workload, "units": "solves", "warmup": True,
-         "setup": _krylov_system, "repeats": 7, "min_speedup": 1.1,
+         "setup": _krylov_system, "repeats": 7,
          "unit_count": lambda: 32,
-         "note": "gates the krylov_buffers allocation-free cores on an "
-                 "iteration-heavy small system"},
+         "note": "the allocation-free Krylov cores on an iteration-heavy "
+                 "small system"},
         # before/after compare hub execution models (transform-per-request
-        # vs one buffered receive/transform amortized over the forwards),
-        # not toggle states; forwards are bit-identical by construction
+        # vs one buffered receive/transform amortized over the forwards);
+        # forwards are bit-identical by construction
         {"name": "breathing_cycle", "kind": "kernel",
          "fn": _breathing_cycle_buffered,
          "before_fn": _breathing_cycle_unbuffered,
@@ -981,29 +953,29 @@ def _benchmark_table(quick: bool) -> list[dict]:
                  "answering the same 200 forwards"},
         {"name": "particle_location", "kind": "kernel",
          "fn": _particles_workload, "units": "particles", "warmup": True,
-         "setup": _particle_snapshots, "min_speedup": 1.2,
+         "setup": _particle_snapshots,
          "unit_count": lambda: 4 * 60 * 20 * _workload().n_particles},
         {"name": "tracker_step", "kind": "kernel",
          "fn": _tracker_step_workload, "units": "particle_steps",
-         "warmup": True, "setup": _particle_preroll, "min_speedup": 2.0,
+         "warmup": True, "setup": _particle_preroll,
          "unit_count": lambda: 60 * 20 * _workload().n_particles},
         {"name": "interpolation", "kind": "kernel",
          "fn": _interpolation_workload, "units": "points", "warmup": True,
          "setup": _particle_preroll,
          "unit_count": lambda: 10 * 20 * _workload().n_particles},
-        # the 5x-gated rows keep a fixed best-of-5 in every mode: a single
-        # quick-mode repeat flaps around the gate on host noise alone
+        # the trajectory-gated end-to-end rows keep a fixed best-of-5 in
+        # every mode: a single quick-mode repeat flaps around the floor on
+        # host noise alone
         {"name": "run_cfpd_sync", "kind": "end_to_end",
          "fn": lambda: _run_cfpd(), "post": _cfpd_digest, "units": None,
-         "warmup": True, "repeats": 5, "min_speedup": 5.0},
+         "warmup": True, "repeats": 5},
         {"name": "run_cfpd_coupled", "kind": "end_to_end",
          "fn": lambda: _run_cfpd(mode="coupled", fluid_ranks=64),
          "post": _cfpd_digest, "units": None, "warmup": True,
-         "repeats": 5, "min_speedup": 5.0},
+         "repeats": 5},
         # before/after compare execution models (cold process per job vs
-        # the warm 4-worker pool), not toggle states; the host has a
-        # single CPU, so the gate measures amortized startup/precompute,
-        # not parallel speedup
+        # the warm 4-worker pool); the host has a single CPU, so the gate
+        # measures amortized startup/precompute, not parallel speedup
         {"name": "campaign_throughput", "kind": "end_to_end",
          "fn": _campaign_warm_pool, "before_fn": _campaign_cold_serial,
          "setup": _campaign_setup, "units": "jobs", "repeats": 1,
@@ -1013,21 +985,17 @@ def _benchmark_table(quick: bool) -> list[dict]:
                  "fork pool sharing the warm workload cache"},
     ]
     if not quick:
-        # DLB teams dispatch task by task on both sides (the scalar-engine
-        # before and the batched after); the gate sits below the measured
-        # best-of-5 (2.11x sync, 2.06x coupled on a 2-vCPU x86 host) with
-        # margin for host noise, with the same fixed best-of-5 as the 5x
-        # rows
+        # DLB teams dispatch task by task on the batched core; same fixed
+        # best-of-5 as the other trajectory-gated end-to-end rows
         table += [
             {"name": "run_cfpd_sync_dlb", "kind": "end_to_end",
              "fn": lambda: _run_cfpd(dlb=True), "post": _cfpd_digest,
-             "units": None, "warmup": True, "repeats": 5,
-             "min_speedup": 1.6},
+             "units": None, "warmup": True, "repeats": 5},
             {"name": "run_cfpd_coupled_dlb", "kind": "end_to_end",
              "fn": lambda: _run_cfpd(mode="coupled", fluid_ranks=64,
                                      dlb=True),
              "post": _cfpd_digest, "units": None, "warmup": True,
-             "repeats": 5, "min_speedup": 1.6},
+             "repeats": 5},
         ]
     return table
 
@@ -1048,14 +1016,13 @@ def _env_info() -> dict:
 
 def run_benchmarks(quick: bool = False, repeats: Optional[int] = None,
                    verbose: bool = True) -> dict:
-    """Run the before/after benchmark suite; returns the report dict.
+    """Run the benchmark suite; returns the report dict.
 
     ``quick`` keeps workload sizes identical but uses one repeat and skips
     the DLB end-to-end variants (the CI smoke configuration); ``repeats``
     overrides the per-benchmark repeat count (full default: 3, best-of).
+    After-only rows report ``before_seconds``/``speedup`` as ``None``.
     """
-    from .toggles import baseline
-
     if repeats is None:
         repeats = 1 if quick else 3
     benchmarks = []
@@ -1065,62 +1032,60 @@ def run_benchmarks(quick: bool = False, repeats: Optional[int] = None,
             print(f"[bench] {name} ...", flush=True)
         setup = row.get("setup")
         if setup is not None:
-            setup()  # toggle-neutral precompute, kept out of the timings
-        # cache-exercising kernels get one untimed call per toggle state:
-        # the timing then covers the steady state even at --quick's single
-        # repeat (full mode's best-of already lands on warm calls)
-        warmup = row.get("warmup", False)
+            setup()  # shared precompute, kept out of the timings
         row_repeats = row.get("repeats", repeats)
         # "post" maps the timed callable's return value to the reported
         # result (e.g. the simulated digest) *outside* the timed region —
-        # harness verification cost stays out of both sides' timings
+        # harness verification cost stays out of the timings
         post = row.get("post", lambda r: r)
         before_fn = row.get("before_fn")
+        before_s = before_res = None
         if before_fn is not None:
             # explicit before/after pair: an execution-model comparison
-            # (both sides run the *current* code, no toggles involved)
             before_s, before_res = _best_of(before_fn, row_repeats)
-            after_s, after_res = _best_of(fn, row_repeats)
-        else:
-            with baseline():
-                if warmup:
-                    fn()
-                before_s, before_res = _best_of(fn, row_repeats)
-            if warmup:
-                fn()
-            after_s, after_res = _best_of(fn, row_repeats)
-        before_res = post(before_res)
+            before_res = post(before_res)
+        elif row.get("warmup", False):
+            # cache-exercising kernels get one untimed call: the timing
+            # then covers the steady state even at --quick's single repeat
+            fn()
+        after_s, after_res = _best_of(fn, row_repeats)
         after_res = post(after_res)
         entry = {
             "name": name,
             "kind": row["kind"],
-            "before_seconds": round(before_s, 6),
+            "before_seconds": (round(before_s, 6) if before_s is not None
+                               else None),
             "after_seconds": round(after_s, 6),
-            "speedup": round(before_s / after_s, 3) if after_s > 0 else None,
+            "speedup": (round(before_s / after_s, 3)
+                        if before_s is not None and after_s > 0 else None),
         }
         if "min_speedup" in row:
             entry["min_speedup"] = row["min_speedup"]
         if "note" in row:
             entry["note"] = row["note"]
         if row.get("units"):
-            # engine_events reports the scalar-side processed-event count
-            # (the batched engine retires the same workload in fewer
-            # dispatches); kernels declare their unit counts in the table
-            count = (float(before_res) if name == "engine_events"
+            # engine_events returns its own dispatch count; kernels declare
+            # their unit counts in the table
+            count = (float(after_res) if name == "engine_events"
                      else float(row["unit_count"]()))
             entry["throughput"] = {
                 "units": row["units"],
                 "count": count,
-                "before_per_second": round(count / before_s, 1),
                 "after_per_second": round(count / after_s, 1),
             }
+            if before_s is not None:
+                entry["throughput"]["before_per_second"] = round(
+                    count / before_s, 1)
         if row["kind"] in ("kernel", "end_to_end") and isinstance(
-                before_res, str):
-            entry["simulated_digest"] = {
-                "before": before_res,
-                "after": after_res,
-                "identical": before_res == after_res,
-            }
+                after_res, str):
+            if before_fn is not None:
+                entry["simulated_digest"] = {
+                    "before": before_res,
+                    "after": after_res,
+                    "identical": before_res == after_res,
+                }
+            else:
+                entry["simulated_digest"] = {"after": after_res}
         # "detail" maps the post-mapped (before, after) results to extra
         # row-specific report fields, outside the timed region; a
         # "simulated_digest" key joins the identity gate and an "ok" key
@@ -1135,17 +1100,19 @@ def run_benchmarks(quick: bool = False, repeats: Optional[int] = None,
                 entry["detail"] = extra
         benchmarks.append(entry)
         if verbose:
-            print(f"[bench]   before={before_s:.3f}s after={after_s:.3f}s "
-                  f"speedup={entry['speedup']}x", flush=True)
+            before_txt = (f"before={before_s:.3f}s " if before_s is not None
+                          else "")
+            speedup_txt = (f" speedup={entry['speedup']}x"
+                           if entry["speedup"] is not None else "")
+            print(f"[bench]   {before_txt}after={after_s:.3f}s{speedup_txt}",
+                  flush=True)
     digests = [b["simulated_digest"]["identical"] for b in benchmarks
-               if "simulated_digest" in b]
+               if "identical" in b.get("simulated_digest", {})]
     detail_oks = [b["detail"]["ok"] for b in benchmarks
                   if "ok" in b.get("detail", {})]
     gated = [b for b in benchmarks if "min_speedup" in b]
     gates_ok = all(b["speedup"] is not None
                    and b["speedup"] >= b["min_speedup"] for b in gated)
-    default_e2e = next((b for b in benchmarks
-                        if b["name"] == "run_cfpd_sync"), None)
     report = {
         "schema": _SCHEMA,
         "generated_by": "python -m repro.perf.bench"
@@ -1155,8 +1122,6 @@ def run_benchmarks(quick: bool = False, repeats: Optional[int] = None,
         "env": _env_info(),
         "benchmarks": benchmarks,
         "summary": {
-            "end_to_end_default_speedup":
-                default_e2e["speedup"] if default_e2e else None,
             "all_simulated_results_identical": all(digests) if digests
             else None,
             "speedup_gates_ok": gates_ok if gated else None,
@@ -1210,15 +1175,19 @@ def trajectory_check(current: dict, reference: dict,
 
     Returns ``(trajectory, failures, host_drift)``: ``trajectory`` maps
     benchmark names to reference/current after-times plus the raw and
-    drift-adjusted speedups between them, ``failures`` lists every
-    ``kernel`` or ``micro`` benchmark whose adjusted speedup dropped below
-    ``min_ratio`` (i.e. this PR made it slower than the committed state it
-    started from, beyond what the host explains), and ``host_drift`` is
-    the median factor (1.0 means the hosts matched).  The drift estimate
-    itself uses only ``kernel`` rows: micro rows are exactly what engine
-    PRs move by design, so including them would fold the improvement into
-    the drift and mask regressions elsewhere.  Benchmarks missing from
-    either report — e.g. rows introduced by this PR — are skipped.
+    drift-adjusted speedups between them, ``failures`` lists every gated
+    benchmark whose adjusted speedup dropped below ``min_ratio`` (i.e.
+    this PR made it slower than the committed state it started from,
+    beyond what the host explains), and ``host_drift`` is the median
+    factor (1.0 means the hosts matched).  Gated are all ``kernel`` and
+    ``micro`` rows, and the ``end_to_end`` rows of the current report
+    that carry no in-build speedup gate (``min_speedup``) — the
+    after-only ``run_cfpd_*`` rows, whose trajectory is their only gate.
+    The drift estimate itself uses only ``kernel`` rows: micro and
+    end-to-end rows are exactly what engine PRs move by design, so
+    including them would fold the improvement into the drift and mask
+    regressions elsewhere.  Benchmarks missing from either report — e.g.
+    rows introduced by this PR — are skipped.
     """
     ref_by_name = {b["name"]: b for b in reference.get("benchmarks", [])}
     shared = []
@@ -1242,7 +1211,9 @@ def trajectory_check(current: dict, reference: dict,
             "speedup_vs_reference": round(speedup, 3),
             "speedup_vs_reference_drift_adjusted": round(adjusted, 3),
         }
-        if b["kind"] in ("kernel", "micro") and adjusted < min_ratio:
+        gated = (b["kind"] in ("kernel", "micro")
+                 or (b["kind"] == "end_to_end" and "min_speedup" not in b))
+        if gated and adjusted < min_ratio:
             failures.append(
                 f"{b['name']}: drift-adjusted {b['kind']} speedup vs "
                 f"reference {adjusted:.3f}x < {min_ratio:.2f}x "
@@ -1276,89 +1247,6 @@ def resolve_auto_baseline(out_path: str) -> Optional[str]:
     return best[1] if best else None
 
 
-#: toggles whose code paths run_cfpd never reaches in full — the driver's
-#: coupled fluid phase solves prebuilt operator systems but constructs no
-#: :class:`FractionalStepSolver` — so their digest check drives the
-#: tube-flow solver directly (both pressure solvers, both toggle states)
-_FLUID_DIGEST_TOGGLES = ("fluid_operator_recycle", "deflation_setup_cache",
-                         "krylov_buffers")
-
-
-def _fluid_toggle_digest() -> str:
-    """Tube-flow digest for the fluid-path toggles: fresh solvers (toggle
-    capture happens at construction) advanced 6 steps with each pressure
-    solver; covers field bytes and Krylov iteration counts."""
-    from ..fem import FractionalStepSolver
-
-    mesh, bc = _fluid_tube()
-    digest = hashlib.sha256()
-    for pressure_solver in ("cg", "deflated"):
-        solver = FractionalStepSolver(mesh, bc, viscosity=1e-3, density=1.0,
-                                      dt=2e-3,
-                                      pressure_solver=pressure_solver)
-        infos = solver.run(6, tol=1e-5)
-        digest.update(solver.u.tobytes())
-        digest.update(solver.p.tobytes())
-        digest.update(repr([(i.momentum_iterations, i.pressure_iterations)
-                            for i in infos]).encode())
-    return digest.hexdigest()
-
-
-def _fluid_adaptive_digest() -> str:
-    """Adaptive-Δt variant of :func:`_fluid_toggle_digest`: fresh solvers
-    advanced to a fixed endpoint through the CFL controller on a ladder
-    the inflow forces a rung drop on, so the digest covers the controller
-    walk (Δt sequence and rungs) as well as the field bytes."""
-    from ..fem import CflController, DtLadder, FractionalStepSolver
-
-    mesh, bc = _fluid_tube()
-    control = CflController(ladder=DtLadder(dt_min=5e-4, dt_max=4e-3))
-    digest = hashlib.sha256()
-    for pressure_solver in ("cg", "deflated"):
-        solver = FractionalStepSolver(mesh, bc, viscosity=1e-3, density=1.0,
-                                      dt=2e-3,
-                                      pressure_solver=pressure_solver)
-        infos = solver.advance_to(8e-3, control=control, tol=1e-5)
-        digest.update(solver.u.tobytes())
-        digest.update(solver.p.tobytes())
-        digest.update(repr([(i.momentum_iterations, i.pressure_iterations,
-                             round(i.dt, 12), i.rung)
-                            for i in infos]).encode())
-    return digest.hexdigest()
-
-
-def _fluid_breathing_digest() -> str:
-    """Ventilator-coupled variant of :func:`_fluid_toggle_digest`: the
-    hub's forwarded scale drives the inlet through
-    ``advance_to(..., inlet_scale=...)`` while the CFL controller walks
-    the ladder, so the digest covers the inlet rescale path (per-step
-    ``inlet_scale`` values) on top of the field bytes and the controller
-    walk."""
-    from ..cosim import (BreathingPattern, LungModel, VENTILATION_PATTERNS,
-                         VentilatorSettings, hub_for)
-    from ..fem import CflController, DtLadder, FractionalStepSolver
-
-    mesh, bc = _fluid_tube()
-    pattern = BreathingPattern(
-        LungModel(), VentilatorSettings(**VENTILATION_PATTERNS["rest"]))
-    hub = hub_for(pattern, n_cycles=1, horizon=8e-3)
-    control = CflController(ladder=DtLadder(dt_min=5e-4, dt_max=4e-3))
-    digest = hashlib.sha256()
-    for pressure_solver in ("cg", "deflated"):
-        solver = FractionalStepSolver(mesh, bc, viscosity=1e-3, density=1.0,
-                                      dt=2e-3,
-                                      pressure_solver=pressure_solver)
-        infos = solver.advance_to(8e-3, control=control,
-                                  inlet_scale=hub.scale_at, tol=1e-5)
-        digest.update(solver.u.tobytes())
-        digest.update(solver.p.tobytes())
-        digest.update(repr([(i.momentum_iterations, i.pressure_iterations,
-                             round(i.dt, 12), i.rung,
-                             round(i.inlet_scale, 12))
-                            for i in infos]).encode())
-    return digest.hexdigest()
-
-
 def _breathing_digest_spec():
     """The end-to-end digest-check spec for ``--digest-workload
     breathing``: ventilator-coupled inlet through the cosim hub,
@@ -1381,18 +1269,15 @@ def _adaptive_digest_spec():
 
 
 def _digest_check(toggle: str, workload: str = "default") -> int:
-    """Run the toggle's digest workload with ``toggle`` off vs on and
-    compare simulated digests — the quick per-push contract check.
+    """Run the digest workload on the scalar core (``toggle`` off) and on
+    the batched core, and compare simulated digests — the quick per-push
+    contract check.  ``engine_batch`` is the only toggle; any other name
+    exits 2.
 
-    ``workload="adaptive"`` routes the check through the adaptive-Δt
-    paths: the tube solver advances through the CFL controller for the
-    fluid toggles, and the end-to-end run uses a local-adaptive transient
-    spec for everything else.  ``workload="breathing"`` routes it through
-    the ventilator-coupled cosim paths instead (hub-driven inlet rescale
-    on the tube solver for the fluid toggles, the gated-injection
-    ventilator spec end-to-end otherwise).  ``workload="dlb"`` runs the
-    default spec with DLB on, sync and coupled 64+64, end to end (the
-    fluid toggles keep their tube digest).
+    ``workload="adaptive"`` runs a local-adaptive transient spec,
+    ``workload="breathing"`` the gated-injection ventilator spec, and
+    ``workload="dlb"`` the default spec with DLB on, sync and coupled
+    64+64, end to end.
     """
     from .toggles import Toggles, configured
 
@@ -1400,11 +1285,7 @@ def _digest_check(toggle: str, workload: str = "default") -> int:
         print(f"[bench] unknown toggle {toggle!r}; known: "
               f"{', '.join(Toggles.__dataclass_fields__)}", file=sys.stderr)
         return 2
-    if toggle in _FLUID_DIGEST_TOGGLES:
-        digest_fn = {"adaptive": _fluid_adaptive_digest,
-                     "breathing": _fluid_breathing_digest,
-                     }.get(workload, _fluid_toggle_digest)
-    elif workload == "adaptive":
+    if workload == "adaptive":
         def digest_fn():
             return _run_cfpd_digest(spec=_adaptive_digest_spec())
     elif workload == "breathing":
@@ -1432,7 +1313,7 @@ def _digest_check(toggle: str, workload: str = "default") -> int:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.perf.bench",
-        description="Before/after benchmark suite (emits BENCH JSON).")
+        description="Benchmark suite (emits BENCH JSON).")
     parser.add_argument("--quick", action="store_true",
                         help="CI smoke mode: 1 repeat, fewer end-to-end "
                              "variants, same workload sizes")
@@ -1448,28 +1329,25 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument("--baseline", metavar="REFERENCE_JSON", default=None,
                         help="previous PR's committed report; records the "
                              "cross-PR trajectory in the output and fails "
-                             "(exit 1) if any kernel or micro benchmark "
-                             "regresses below the drift-adjusted noise "
-                             "floor of it.  'auto' resolves the newest "
-                             "BENCH_prN.json below the output's PR number "
-                             "(gaps from report-less PRs are fine)")
+                             "(exit 1) if any kernel, micro or ungated "
+                             "end-to-end benchmark regresses below the "
+                             "drift-adjusted noise floor of it.  'auto' "
+                             "resolves the newest BENCH_prN.json below the "
+                             "output's PR number (gaps from report-less "
+                             "PRs are fine)")
     parser.add_argument("--digest-check", metavar="TOGGLE", default=None,
                         help="skip the timing suite; run the default "
                              "end-to-end config with TOGGLE off vs on and "
                              "fail (exit 1) if the simulated digests "
-                             "differ")
+                             "differ.  engine_batch is the only toggle "
+                             "(unknown names exit 2)")
     parser.add_argument("--digest-workload", default="default",
                         choices=("default", "adaptive", "breathing", "dlb"),
                         help="workload --digest-check runs: the default "
-                             "configuration, the adaptive-Δt paths "
-                             "(CFL-controlled tube flow for the fluid "
-                             "toggles, a local-adaptive transient spec "
-                             "end-to-end otherwise), or the "
-                             "ventilator-coupled cosim paths (hub-driven "
-                             "inlet rescale on the tube solver / the "
-                             "gated-injection ventilator spec), or the "
-                             "default spec under DLB (sync and coupled "
-                             "64+64)")
+                             "configuration, a local-adaptive transient "
+                             "spec, the gated-injection ventilator spec, "
+                             "or the default spec under DLB (sync and "
+                             "coupled 64+64)")
     args = parser.parse_args(argv)
 
     if args.digest_check:
@@ -1507,8 +1385,8 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     identical = report["summary"]["all_simulated_results_identical"]
     if identical is False:
-        print("[bench] FAIL: simulated-time results differ between toggle "
-              "states", file=sys.stderr)
+        print("[bench] FAIL: simulated-time results differ between the "
+              "before and after sides", file=sys.stderr)
         return 1
     if report["summary"]["speedup_gates_ok"] is False:
         for b in report["benchmarks"]:

@@ -101,7 +101,7 @@ def fluid_counters() -> Dict[str, float]:
     """Snapshot of the numeric fluid fast-path tallies.
 
     Combines the :data:`repro.fem.fractional_step.FLUID_COUNTERS` running
-    totals (momentum operators recycled vs rebuilt from scratch, deflated
+    totals (momentum operators recycled, deflated
     continuity solves, deflation setups built/reused, Δt-rung operator-
     cache hits/misses/rebuilds, adaptive steps and local-mode subcycles)
     with the buffered Krylov cores' workspace-cache counters

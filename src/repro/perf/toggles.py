@@ -1,24 +1,23 @@
-"""Runtime switches for the performance-layer hot-path optimizations.
+"""The one runtime switch of the performance layer: ``engine_batch``.
 
-Every optimization added by the performance layer is gated behind a toggle
-so the benchmark harness (:mod:`repro.perf.bench`) can measure *before* and
-*after* from one build, and so a bisection of a perf regression can turn
-individual fast paths off without reverting code.
+``engine_batch`` selects between the two event cores of :mod:`repro.sim`:
+the batched cohort core (the default) and the scalar event core, which is
+the reference the batched core is checked against
+(``--digest-check engine_batch`` in :mod:`repro.perf.bench` and the
+engine-batch identity tests).  Both cores preserve the exact (time, seq)
+event order, so the switch changes **wall-clock** behaviour only.
 
-The toggles only change **wall-clock** behaviour.  Every fast path preserves
-the exact (time, seq) event ordering of the DES engine and the exact floating
-point operation order of the simulated-time results; the bit-identical guard
-in ``tests/test_perf_identical.py`` enforces this across sync/coupled x DLB
-on/off.
+Every other fast path of the performance layer is unconditional (see
+``docs/performance.md``, "Retired toggles").
 
 This module must stay dependency-free (no numpy, no repro imports): it is
-imported by ``sim``, ``smpi``, ``core``, ``fem`` and ``particles``, which sit
-below everything else in the package graph.
+imported by ``sim.engine``, which sits below everything else in the
+package graph.
 
-Capture semantics: long-lived objects (``Engine``, ``World``, ``Team``,
-``ElementLocator``) capture the toggle state at construction, so flipping a
-toggle mid-run never mixes code paths within one simulation.  Stateless
-kernels (``fem.assembly``) read the toggle per call.
+Capture semantics: an :class:`~repro.sim.Engine` reads the toggle once at
+construction, and the ``Team`` and ``World`` objects built on it take the
+decision from their engine, so flipping the toggle mid-run never mixes
+cores within one simulation.
 """
 
 from __future__ import annotations
@@ -26,66 +25,13 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 
-__all__ = ["Toggles", "TOGGLES", "set_toggles", "baseline", "configured"]
+__all__ = ["Toggles", "TOGGLES", "set_toggles", "configured"]
 
 
 @dataclass(frozen=True)
 class Toggles:
-    """Feature switches for the individual fast paths (all on by default)."""
+    """Feature switches of the performance layer (on by default)."""
 
-    #: ``sim.engine``: FIFO now-queue for same-time posts (no heap sift) and
-    #: the inlined run loop with the single-waiter dispatch fast path.
-    engine_fast_path: bool = True
-    #: ``core.runtime`` / ``smpi.comm``: run tasks and collective finishes as
-    #: deferred callbacks instead of generator Processes, with cached task
-    #: durations and collective-group topology.
-    runtime_fast_path: bool = True
-    #: ``smpi.comm``: no-dead-ranks fast path in collective completion.
-    comm_fast_path: bool = True
-    #: ``fem.assembly``: precompute the CSR sparsity pattern per
-    #: (mesh, element set) and scatter values into it on later assemblies.
-    assembly_pattern_cache: bool = True
-    #: ``particles.tracker``: KD-tree queries only for STATUS_ACTIVE
-    #: particles; frozen (deposited/escaped) particles keep their cached
-    #: element assignment.
-    locator_active_only: bool = True
-    #: ``fem.geometry``: per-(mesh, element-set) static-geometry cache
-    #: (Jacobian gradients, |J| dV, element volumes/size) shared by
-    #: ``fem.assembly``, ``fem.sgs``, ``fem.vector`` and
-    #: ``particles.interpolation`` (centroid KD-tree).
-    geometry_cache: bool = True
-    #: ``fem.assembly``: operator-split incremental assembly — the constant
-    #: mass/diffusion blocks (and the fully constant continuity operator)
-    #: are assembled once per (mesh, element set); each call re-assembles
-    #: only the velocity-dependent convection + stabilization part.
-    #: Engages only together with ``assembly_pattern_cache`` (the split
-    #: scatters through the cached CSR pattern).
-    operator_split: bool = True
-    #: ``core.runtime``: heap-backed LPT ready queue (O(log n) dispatch
-    #: instead of a linear argmax scan per task).
-    scheduler_heap: bool = True
-    #: ``app.driver``: reuse the per-rank task graphs and exchange topology
-    #: of a run configuration across ``run_cfpd`` calls (graphs are
-    #: stateless between executions; all execution state lives in ``Team``).
-    driver_graph_cache: bool = True
-    #: ``particles.tracker`` / ``particles.locator_fast``: warm-start exact
-    #: element location — accept a particle's cached host element (or an
-    #: adjacency-ring neighbour) only when the precomputed per-element
-    #: safety radius *proves* it is still the global nearest centroid;
-    #: batched KD-tree fallback for the provably-lost remainder.  Subsumes
-    #: ``locator_active_only`` (the frozen-particle cache rides along).
-    particle_warm_start: bool = True
-    #: ``particles.tracker``: active-set compaction — active particles kept
-    #: in a contiguous index prefix under a stable permutation (frozen
-    #: particles swap to the tail once), so the tracker gathers/scatters
-    #: prefix slices instead of full-population boolean masks.
-    particle_compaction: bool = True
-    #: ``particles.flowfield`` / ``particles.tracker`` /
-    #: ``particles.interpolation``: batched transport kernels — preallocated
-    #: workspace buffers for ``AirwayFlow.locate`` and the drag/Newmark/
-    #: boundary math, and reuse of the boundary-pass locate result for the
-    #: next step's velocity evaluation (identical inputs, identical output).
-    particle_fused_step: bool = True
     #: ``sim.engine`` / ``core.runtime`` / ``smpi.comm``: batched event-cohort
     #: core — a calendar of per-timestamp event buckets with bulk clock
     #: advance, a free-list event arena for deferred callbacks
@@ -95,25 +41,6 @@ class Toggles:
     #: ``World``.  Preserves the exact (when, seq) FIFO tie-break order of
     #: the scalar engine.
     engine_batch: bool = True
-    #: ``fem.fractional_step``: operator recycling in the momentum
-    #: predictor — the Dirichlet-applied momentum matrix and its sparsity
-    #: pattern are built once, each step scatters the freshly assembled
-    #: scalar CSR data through precomputed vector-expansion and
-    #: Dirichlet-row slot maps (no COO re-expansion, no LIL row
-    #: replacement), and the Jacobi preconditioner refreshes from a
-    #: diagonal slot view.  Bit-identical to the rebuild-from-scratch path.
-    fluid_operator_recycle: bool = True
-    #: ``solver.deflated`` / ``fem.fractional_step``: reuse one
-    #: :class:`~repro.solver.deflated.DeflationSetup` (sparse W, sparse
-    #: AW, Cholesky factor of E) across deflated-CG solves against the
-    #: same operator instead of rebuilding the coarse space per call; the
-    #: fractional-step solver pays the setup once in ``__init__``.
-    deflation_setup_cache: bool = True
-    #: ``solver.krylov``: allocation-free CG/BiCGStab iteration cores —
-    #: per-size workspace vectors reused across solves, with in-place
-    #: ``out=`` axpy/scal updates that preserve the exact floating-point
-    #: operation order of the allocating cores.
-    krylov_buffers: bool = True
 
 
 #: process-wide current toggle state
@@ -137,16 +64,5 @@ def configured(**overrides: bool):
     previous = set_toggles(replace(TOGGLES, **overrides))
     try:
         yield TOGGLES
-    finally:
-        set_toggles(previous)
-
-
-@contextmanager
-def baseline():
-    """Context manager: every fast path off (the pre-PR-2 code paths)."""
-    off = Toggles(**{f.name: False for f in fields(Toggles)})
-    previous = set_toggles(off)
-    try:
-        yield off
     finally:
         set_toggles(previous)

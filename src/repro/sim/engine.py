@@ -90,10 +90,7 @@ class Event:
         self._value = value
         # inlined Engine._post — this is the hottest trigger path
         eng = self.engine
-        if eng._fast or eng._batch:
-            eng._now_queue.append((next(eng._seq), self))
-        else:
-            heapq.heappush(eng._queue, (eng.now, next(eng._seq), self))
+        eng._now_queue.append((next(eng._seq), self))
         return self
 
     def fail(self, exc: BaseException) -> "Event":
@@ -300,7 +297,6 @@ class Engine:
         # heap head by seq) while the common case — an event triggered at the
         # current time — skips the heap sift entirely.
         self._now_queue: deque[tuple[int, Any]] = deque()
-        self._fast = _perf_toggles.TOGGLES.engine_fast_path
         #: scratch counters other layers may bump (e.g. Team plan counters);
         #: surfaced by ``repro.perf.instrument.engine_counters``.
         self.ext_counters: dict[str, int] = {}
@@ -518,10 +514,7 @@ class Engine:
 
     def _post(self, event: Event) -> None:
         """Schedule a just-triggered event's callbacks at the current time."""
-        if self._fast or self._batch:
-            self._now_queue.append((next(self._seq), event))
-        else:
-            heapq.heappush(self._queue, (self.now, next(self._seq), event))
+        self._now_queue.append((next(self._seq), event))
 
     def _pop(self) -> Event:
         """Remove and return the globally next event, advancing the clock.

@@ -25,7 +25,6 @@ from collections import deque
 from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence
 
 from ..machine import ClusterModel, rank_to_node
-from ..perf import toggles as _perf_toggles
 from ..sim import Engine, Event, Store
 from .pmpi import HookList
 
@@ -342,18 +341,11 @@ class Comm:
         if not 0 <= dest < self.size:
             raise MPIError(f"dest {dest} out of range for comm size {self.size}")
         world = self._world
-        if world._fast_finish:
-            # Callback-based transfer: the deferral is posted where the
-            # Process bootstrap would be and the delivery timeout is created
-            # when it pops, so the event trajectory matches the generator
-            # path below; ``req`` stands in for the Process request handle.
-            req = Event(world.engine)
-            world.engine.defer(self._isend_start, payload, dest, tag,
-                               nbytes, req)
-            return req
-        return world.engine.process(
-            self._transfer(payload, dest, tag, nbytes),
-            name=f"isend[{self.world_rank}->{self.group[dest]}]")
+        # Callback-based transfer: the delivery timeout is created when the
+        # deferral pops; ``req`` is the request handle the caller waits on.
+        req = Event(world.engine)
+        world.engine.defer(self._isend_start, payload, dest, tag, nbytes, req)
+        return req
 
     def _isend_start(self, payload: Any, dest: int, tag: int,
                      nbytes: Optional[float], req: Event) -> None:
@@ -710,7 +702,8 @@ class World:
         self.hooks = HookList()
         self.collectives: dict[tuple[int, int], _Collective] = {}
         self._coll_seq: dict[tuple[int, int], int] = {}
-        self._batch = _perf_toggles.TOGGLES.engine_batch
+        # the engine owns the batched-or-scalar decision (engine_batch)
+        self._batch = engine._batch
         if self._batch:
             self._mailboxes: list[Any] = [_KeyedMailbox(engine)
                                           for _ in range(nranks)]
@@ -736,8 +729,6 @@ class World:
         #: group tuple -> (intra_steps, inter_steps) for collective_cost;
         #: pure topology, static for the lifetime of the world.
         self._group_topo: dict[tuple, tuple[int, int]] = {}
-        self._fast = _perf_toggles.TOGGLES.comm_fast_path
-        self._fast_finish = _perf_toggles.TOGGLES.runtime_fast_path
 
     # -- topology -----------------------------------------------------------
     def node_of(self, world_rank: int) -> int:
@@ -852,7 +843,7 @@ class World:
         coll = self.collectives.get(key)
         if coll is None:
             return
-        if self._fast and not self.dead_ranks:
+        if not self.dead_ranks:
             # No failures in the job: everyone is alive, so completion is
             # just a contribution count — no per-call group scan or filtered
             # copy of the contribution dict.
@@ -871,22 +862,9 @@ class World:
             contribs = {i: v for i, v in coll.contribs.items() if i in alive}
         del self.collectives[key]
         delay = self.collective_cost(coll)
-        done = coll.done
-
-        if self._fast_finish:
-            # Deferred-callback completion: the deferral event is posted at
-            # the same queue position a Process bootstrap would be, and the
-            # timeout is created when it pops — the same (time, seq)
-            # trajectory as the generator below, minus its allocations and
-            # the process-completion event.
-            self.engine.defer(self._finish_collective, done, delay, contribs)
-            return
-
-        def finish():
-            yield self.engine.timeout(delay)
-            done.succeed(contribs)
-
-        self.engine.process(finish(), name=f"{coll.kind}[{key[0]}]")
+        # deferred-callback completion: the timeout is created when the
+        # deferral pops
+        self.engine.defer(self._finish_collective, coll.done, delay, contribs)
 
     def _finish_collective(self, done: Event, delay: float,
                            contribs: dict) -> None:

@@ -3,14 +3,13 @@
 Covers the deterministic CFL controller and Δt ladder, the per-rung
 operator cache behind ``FractionalStepSolver.dt`` (including the stale-Δt
 regression the setter fixes), ``advance_to`` determinism across reruns and
-every fluid perf-toggle combination, endpoint accuracy against a fine
+against pinned digests, endpoint accuracy against a fine
 fixed-Δt reference, the app-layer Δt schedules / local subcycling, the
 driver's bit-identical replay of adaptive workloads, the campaign axis,
 and the batched runtime's repeats-ordering contract.
 """
 
 import hashlib
-import itertools
 
 import numpy as np
 import pytest
@@ -30,8 +29,13 @@ from repro.mesh.generator import MeshResolution, build_tube_mesh
 from repro.perf.toggles import configured
 from repro.sim import Engine
 
-FLUID_TOGGLES = ("fluid_operator_recycle", "deflation_setup_cache",
-                 "krylov_buffers")
+#: ``_advance_digest`` per pressure solver, recorded on the last build that
+#: still carried the fluid fast-path toggles, where all eight toggle
+#: combinations produced it
+PINNED_ADVANCE = {
+    "cg": "29803caefb0d902bf9f20f0331030c7361d71608145fb1d0e685a68cc60ca7bf",
+    "deflated": "3868aaad15a1a9e12ad611d48d9591ce91ca4103180863ce79244b2f30a521c0",
+}
 
 
 @pytest.fixture(scope="module")
@@ -220,28 +224,20 @@ class TestAdvanceTo:
         with pytest.raises(ValueError):
             solver.advance_to(0.0)
 
-    def test_deterministic_across_all_toggle_combos(self, tube):
+    def test_deterministic_pinned(self, tube):
         """Same initial state ⇒ identical Δt sequence, rung walk, Krylov
-        iteration counts and final fields, for every subset of the fluid
-        fast-path toggles."""
+        iteration counts and final fields: the pinned digest, and a plain
+        rerun replays it bit for bit."""
         mesh, bc = tube
-        with configured(**{t: False for t in FLUID_TOGGLES}):
-            ref, _ = _advance_digest(mesh, bc)
-        for combo in itertools.product([False, True], repeat=3):
-            state = dict(zip(FLUID_TOGGLES, combo))
-            with configured(**state):
-                got, _ = _advance_digest(mesh, bc)
-            assert got == ref, f"adaptive digest depends on toggles {state}"
-        # and a plain rerun replays bit for bit
+        ref, _ = _advance_digest(mesh, bc)
+        assert ref == PINNED_ADVANCE["cg"]
         again, _ = _advance_digest(mesh, bc)
         assert again == ref
 
     def test_deterministic_deflated(self, tube):
         mesh, bc = tube
-        with configured(**{t: False for t in FLUID_TOGGLES}):
-            ref, _ = _advance_digest(mesh, bc, "deflated")
         got, _ = _advance_digest(mesh, bc, "deflated")
-        assert got == ref
+        assert got == PINNED_ADVANCE["deflated"]
 
     def test_endpoint_accuracy_vs_fine_reference(self, tube):
         """From a developed state, the adaptive endpoint tracks the fine

@@ -11,7 +11,7 @@ from repro.machine import marenostrum4
 from repro.sim import Engine, SimulationError, Store
 from repro.smpi import DeadlockError, MPIError, RankDeadError, World
 from repro.solver import SolverBreakdown, cg, jacobi_preconditioner
-from repro.solver.krylov import _cg_core
+from repro.solver.krylov import _cg_iterate
 
 
 SPEC = WorkloadSpec(generations=3, points_per_ring=6, n_steps=8)
@@ -429,7 +429,7 @@ class TestSolverGuards:
             return r
 
         with pytest.raises(SolverBreakdown) as err:
-            _cg_core(A, b, None, 1e-8, 100, None, nan_at_1, 100)
+            _cg_iterate(A, b, None, 1e-8, 100, None, nan_at_1, 100)
         assert err.value.reason == "nonfinite_residual"
 
     def test_stagnation_guard_trips_after_flat_window(self):

@@ -1,12 +1,17 @@
-"""Bit-identicality and unit tests for the PR 8 numeric fluid fast paths.
+"""Pinned digests and unit tests for the numeric fluid fast paths.
 
-The three fluid toggles — ``fluid_operator_recycle``,
-``deflation_setup_cache``, ``krylov_buffers`` — are wall-clock-only: every
-combination must reproduce the naive paths' velocity/pressure fields and
-Krylov iteration counts bit for bit, for both pressure solvers.
+Momentum-operator recycling, the cached deflation setup and the
+allocation-free Krylov cores are unconditional.  Their fields and Krylov
+iteration counts are pinned below to the values recorded on the last
+build that still carried the ``fluid_operator_recycle``,
+``deflation_setup_cache`` and ``krylov_buffers`` toggles, where all eight
+toggle combinations produced them bit for bit, for both pressure solvers.
+The recycler's own bit-for-bit self-check against the naive
+``vector_operator`` + ``apply_dirichlet`` system runs at every solver
+construction.
 """
 
-import itertools
+import hashlib
 
 import numpy as np
 import pytest
@@ -19,10 +24,22 @@ from repro.fem.fractional_step import FLUID_COUNTERS
 from repro.fem.vector import vector_expansion_perm
 from repro.mesh.airway import Segment
 from repro.mesh.generator import MeshResolution, build_tube_mesh
-from repro.perf.toggles import configured
 
-FLUID_TOGGLES = ("fluid_operator_recycle", "deflation_setup_cache",
-                 "krylov_buffers")
+#: sha256 over (u bytes, p bytes, per-step iteration counts) of
+#: ``_run_steps`` on the test tube, per pressure solver
+PINNED_STEPS = {
+    "cg": "90bc42559c52308d1065b299cffcfc16d4e053db97571c48ac410b331b5d1caa",
+    "deflated": "300382682cc7aef579e881aa76132a257f96774ebd387538ccbed7a51a6123e3",
+}
+
+#: digests of the bench-sized tube (``repro.perf.bench._fluid_tube``) over
+#: both pressure solvers: fixed steps, CFL-controlled ``advance_to``, and
+#: ``advance_to`` with the ventilator hub driving the inlet
+PINNED_TUBE = {
+    "fixed": "ab0149dd66a8659bded17bda079d540ecb63248fc2307fcb270ae3b6a2d25954",
+    "adaptive": "2f9a22f3885f758a35815960dc6e90a1f4a57ed6b61192c3d19795e95b563a99",
+    "breathing": "20793a4f5d1e35aef988455072a0bd8902a67516b79bb34f40746d0471ace584",
+}
 
 
 @pytest.fixture(scope="module")
@@ -52,56 +69,96 @@ def _run_steps(mesh, bc, pressure_solver, n_steps=6):
     return solver.u.tobytes(), solver.p.tobytes(), iters
 
 
-class TestFluidToggleMatrix:
+def _bench_tube_digest(advance) -> str:
+    """Fresh solvers on the bench tube, one per pressure solver, advanced
+    by ``advance(solver)``, which returns the per-step records to hash."""
+    from repro.perf.bench import _fluid_tube
+
+    mesh, bc = _fluid_tube()
+    digest = hashlib.sha256()
+    for pressure_solver in ("cg", "deflated"):
+        solver = FractionalStepSolver(mesh, bc, viscosity=1e-3, density=1.0,
+                                      dt=2e-3,
+                                      pressure_solver=pressure_solver)
+        records = advance(solver)
+        digest.update(solver.u.tobytes())
+        digest.update(solver.p.tobytes())
+        digest.update(repr(records).encode())
+    return digest.hexdigest()
+
+
+def _fixed(solver):
+    return [(i.momentum_iterations, i.pressure_iterations)
+            for i in solver.run(6, tol=1e-5)]
+
+
+def _adaptive(solver):
+    from repro.fem import CflController, DtLadder
+
+    control = CflController(ladder=DtLadder(dt_min=5e-4, dt_max=4e-3))
+    return [(i.momentum_iterations, i.pressure_iterations, round(i.dt, 12),
+             i.rung)
+            for i in solver.advance_to(8e-3, control=control, tol=1e-5)]
+
+
+def _breathing(solver):
+    from repro.cosim import (BreathingPattern, LungModel,
+                             VENTILATION_PATTERNS, VentilatorSettings,
+                             hub_for)
+    from repro.fem import CflController, DtLadder
+
+    pattern = BreathingPattern(
+        LungModel(), VentilatorSettings(**VENTILATION_PATTERNS["rest"]))
+    hub = hub_for(pattern, n_cycles=1, horizon=8e-3)
+    control = CflController(ladder=DtLadder(dt_min=5e-4, dt_max=4e-3))
+    infos = solver.advance_to(8e-3, control=control,
+                              inlet_scale=hub.scale_at, tol=1e-5)
+    return [(i.momentum_iterations, i.pressure_iterations, round(i.dt, 12),
+             i.rung, round(i.inlet_scale, 12)) for i in infos]
+
+
+class TestFluidFastPath:
     @pytest.mark.parametrize("pressure_solver", ["cg", "deflated"])
-    def test_all_toggle_combinations_bit_identical(self, tube,
-                                                   pressure_solver):
-        """Every subset of the fluid toggles reproduces the all-off
-        reference exactly (fields and iteration counts)."""
+    def test_tube_digest_pinned(self, tube, pressure_solver):
+        """Fields and iteration counts match the pinned values, and a
+        rerun replays them bit for bit."""
         mesh, bc = tube
-        with configured(**{t: False for t in FLUID_TOGGLES}):
-            ref = _run_steps(mesh, bc, pressure_solver)
-        for combo in itertools.product([False, True], repeat=3):
-            state = dict(zip(FLUID_TOGGLES, combo))
-            with configured(**state):
-                got = _run_steps(mesh, bc, pressure_solver)
-            assert got == ref, f"fluid digest depends on toggles {state}"
+        u, p, iters = _run_steps(mesh, bc, pressure_solver)
+        digest = hashlib.sha256(u + p + repr(iters).encode()).hexdigest()
+        assert digest == PINNED_STEPS[pressure_solver]
+        assert _run_steps(mesh, bc, pressure_solver) == (u, p, iters)
+
+    @pytest.mark.parametrize("workload", ["fixed", "adaptive", "breathing"])
+    def test_bench_tube_digest_pinned(self, workload):
+        advance = {"fixed": _fixed, "adaptive": _adaptive,
+                   "breathing": _breathing}[workload]
+        assert _bench_tube_digest(advance) == PINNED_TUBE[workload]
 
     def test_counters_track_the_active_path(self, tube):
         mesh, bc = tube
-        with configured(fluid_operator_recycle=True,
-                        deflation_setup_cache=True):
-            before = dict(FLUID_COUNTERS)
-            solver = FractionalStepSolver(mesh, bc, viscosity=1e-3,
-                                          density=1.0, dt=2e-3,
-                                          pressure_solver="deflated")
-            solver.run(2, tol=1e-6)
-            assert FLUID_COUNTERS["momentum_recycled"] \
-                == before["momentum_recycled"] + 2
-            assert FLUID_COUNTERS["deflation_setups_built"] \
-                == before["deflation_setups_built"] + 1
-            assert FLUID_COUNTERS["deflation_setups_reused"] \
-                == before["deflation_setups_reused"] + 2
-            assert FLUID_COUNTERS["pressure_deflated_solves"] \
-                == before["pressure_deflated_solves"] + 2
-        with configured(fluid_operator_recycle=False):
-            before = dict(FLUID_COUNTERS)
-            solver = FractionalStepSolver(mesh, bc, viscosity=1e-3,
-                                          density=1.0, dt=2e-3)
-            solver.run(2, tol=1e-6)
-            assert FLUID_COUNTERS["momentum_rebuilt"] \
-                == before["momentum_rebuilt"] + 2
+        before = dict(FLUID_COUNTERS)
+        solver = FractionalStepSolver(mesh, bc, viscosity=1e-3,
+                                      density=1.0, dt=2e-3,
+                                      pressure_solver="deflated")
+        solver.run(2, tol=1e-6)
+        assert FLUID_COUNTERS["momentum_recycled"] \
+            == before["momentum_recycled"] + 2
+        assert FLUID_COUNTERS["deflation_setups_built"] \
+            == before["deflation_setups_built"] + 1
+        assert FLUID_COUNTERS["deflation_setups_reused"] \
+            == before["deflation_setups_reused"] + 2
+        assert FLUID_COUNTERS["pressure_deflated_solves"] \
+            == before["pressure_deflated_solves"] + 2
 
     def test_stale_pattern_raises(self, tube):
         """The recycler refuses to gather through a pattern that no longer
         matches the scalar assembly (static-mesh contract)."""
         mesh, bc = tube
-        with configured(fluid_operator_recycle=True):
-            solver = FractionalStepSolver(mesh, bc, viscosity=1e-3,
-                                          density=1.0, dt=2e-3)
-            solver._scalar_nnz += 1
-            with pytest.raises(ValueError, match="stale"):
-                solver.step(tol=1e-6)
+        solver = FractionalStepSolver(mesh, bc, viscosity=1e-3,
+                                      density=1.0, dt=2e-3)
+        solver._scalar_nnz += 1
+        with pytest.raises(ValueError, match="stale"):
+            solver.step(tol=1e-6)
 
     def test_lumped_mass_cached(self, tube):
         mesh, bc = tube

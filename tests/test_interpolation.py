@@ -106,17 +106,30 @@ class TestMeshVelocityField:
         assert state.x[:, 2].mean() < z0  # advected downstream
 
 
+def _allocating_velocity(field, points):
+    """:meth:`MeshVelocityField.velocity` with allocating temporaries — the
+    reference the buffered combine must match bit for bit."""
+    _, eids = field._tree.query(points)
+    conn = field._conn[eids]                     # (n, 6)
+    valid = field._valid[eids]                   # (n, 6)
+    safe_conn = np.where(valid, conn, 0)
+    node_xyz = field.mesh.coords[safe_conn]      # (n, 6, 3)
+    d = np.linalg.norm(node_xyz - points[:, None, :], axis=2)
+    w = np.where(valid, 1.0 / np.maximum(d, 1e-15), 0.0)
+    w /= w.sum(axis=1, keepdims=True)
+    vel = field.nodal_velocity[safe_conn]        # (n, 6, 3)
+    return np.einsum("nk,nkj->nj", w, vel)
+
+
 class TestFusedInterpolation:
     def test_fused_matches_baseline_bitwise(self, tube):
-        from repro.perf import toggles as toggles_mod
-
         rng = np.random.default_rng(3)
         nodal = rng.normal(size=(tube.nnodes, 3))
         pts = tube.coords[rng.integers(0, tube.nnodes, 200)] \
             + 1e-5 * rng.standard_normal((200, 3))
-        with toggles_mod.configured(particle_fused_step=False):
-            ref = MeshVelocityField(tube, nodal).velocity(pts)
-        got = MeshVelocityField(tube, nodal).velocity(pts)
+        field = MeshVelocityField(tube, nodal)
+        ref = _allocating_velocity(field, pts)
+        got = field.velocity(pts)
         assert ref.tobytes() == got.tobytes()
 
     def test_host_elements_dtype_intp(self, tube):

@@ -1,13 +1,16 @@
-"""The PR 2 contract: fast paths change wall-clock only.
+"""The performance contract: fast paths change wall-clock only.
 
-Two guards:
+Guards:
 
-* **determinism** — two optimized runs of the same configuration produce
-  identical simulated-time metrics and identical checkpoint bytes;
-* **bit-identical before/after** — a run with every fast path disabled
-  (:func:`repro.perf.toggles.baseline`) matches an optimized run exactly:
-  phase samples, total time, deposition, solver info, and the on-disk
-  checkpoint file (byte-for-byte), across sync/coupled x DLB on/off.
+* **determinism** — two runs of the same configuration produce identical
+  simulated-time metrics and identical checkpoint bytes;
+* **pinned digests** — phase samples, total time, deposition, solver info
+  and the on-disk checkpoint file (byte-for-byte) match the values
+  recorded when every fast path still had a slow twin it was checked
+  against, across sync/coupled x DLB on/off;
+* **engine_batch** — the scalar event core (``engine_batch`` off) lands
+  on the same digests as the batched core, up to production scale and
+  under DLB and faults.
 """
 
 import dataclasses
@@ -17,7 +20,7 @@ import pytest
 
 from repro.app.driver import RunConfig, run_cfpd
 from repro.app.workload import WorkloadSpec, get_workload
-from repro.perf import toggles as toggles_mod
+from repro.perf.toggles import configured
 
 #: small but non-trivial workload: enough steps for two checkpoint cuts
 SPEC = WorkloadSpec(generations=3, points_per_ring=6, n_steps=4)
@@ -29,6 +32,24 @@ CONFIGS = {
                     mode="coupled", fluid_ranks=6),
     "coupled_dlb": dict(cluster="thunder", num_nodes=1, nranks=8,
                         mode="coupled", fluid_ranks=6, dlb=True),
+}
+
+#: (``_digest``, sha256 of the checkpoint bytes) per config, recorded on
+#: the last build that still carried the retired fast-path toggles, where
+#: the all-toggles-off build produced the same values
+PINNED = {
+    "coupled": (
+        "4e39f496e979aa9291fea082e14c3205677f96810e50846806b0bb2973f00dfc",
+        "49a35cf0470aedfd21c3dc0a30fa22578b7dee11b6bd9971f7ffc6058c6f83ec"),
+    "coupled_dlb": (
+        "632047ceed9166d9937508207b9c82b8b5771d55494f8ebf13adf646453a636b",
+        "12b2134a8b65f1e4dcd69897ced84402f404072e04793185d2db147def37f0f9"),
+    "sync": (
+        "f1e2b4f3a52fe33ebcef043796668067e88cdc49b82878e981aec2fed53e4efc",
+        "1e6f0b09eb8c0f32993e13ba204a1159f96f70887e17a236be8a3463e234a8aa"),
+    "sync_dlb": (
+        "7b5ecc1b289c5ba3904980c295bfbb6ec483bcd1204880f389d8abda69ba0424",
+        "80318d51464265d243746a61a3f2e457448db497b59a7549a6ccbe2787051df9"),
 }
 
 
@@ -63,77 +84,26 @@ class TestDeterminism:
 class TestBitIdenticalBeforeAfter:
     @pytest.mark.parametrize("name", sorted(CONFIGS))
     def test_fast_paths_change_wall_clock_only(self, name, tmp_path):
-        kwargs = CONFIGS[name]
-        with toggles_mod.baseline():
-            d_before, c_before = _run(kwargs, tmp_path / "before.ckpt")
-        d_after, c_after = _run(kwargs, tmp_path / "after.ckpt")
-        assert d_before == d_after, (
-            f"{name}: simulated-time metrics changed by the fast paths")
-        assert c_before == c_after, (
-            f"{name}: checkpoint bytes changed by the fast paths")
-
-
-@pytest.fixture(scope="module")
-def default_digests(tmp_path_factory):
-    """Digest + checkpoint bytes of a defaults run, once per config."""
-    base = tmp_path_factory.mktemp("defaults")
-    return {name: _run(kwargs, base / f"{name}.ckpt")
-            for name, kwargs in CONFIGS.items()}
-
-
-class TestPerToggleBisection:
-    """Each PR 3 / PR 4 / PR 7 / PR 8 toggle can be flipped off alone
-    without changing any simulated result — the property the bisection
-    workflow relies on."""
-
-    @pytest.mark.parametrize("toggle", ["geometry_cache", "operator_split",
-                                        "scheduler_heap",
-                                        "driver_graph_cache",
-                                        "particle_warm_start",
-                                        "particle_compaction",
-                                        "particle_fused_step",
-                                        "engine_batch",
-                                        "fluid_operator_recycle",
-                                        "deflation_setup_cache",
-                                        "krylov_buffers"])
-    @pytest.mark.parametrize("name", sorted(CONFIGS))
-    def test_single_toggle_off_is_identical(self, toggle, name, tmp_path,
-                                            default_digests):
-        with toggles_mod.configured(**{toggle: False}):
-            d_off, c_off = _run(CONFIGS[name], tmp_path / "off.ckpt")
-        d_ref, c_ref = default_digests[name]
-        assert d_off == d_ref, (
-            f"{name}: simulated-time metrics depend on toggle {toggle}")
-        assert c_off == c_ref, (
-            f"{name}: checkpoint bytes depend on toggle {toggle}")
+        d, c = _run(CONFIGS[name], tmp_path / "run.ckpt")
+        assert d == PINNED[name][0], (
+            f"{name}: simulated-time metrics changed")
+        assert hashlib.sha256(c).hexdigest() == PINNED[name][1], (
+            f"{name}: checkpoint bytes changed")
 
 
 class TestEngineBatchMatrix:
-    """The batched event core composes with every engine-adjacent toggle.
+    """The scalar event core (``engine_batch`` off) lands on the pinned
+    digests and checkpoint bytes across sync/coupled x DLB on/off — the
+    (when, seq) contract the batched core keeps."""
 
-    ``engine_batch`` interlocks with the event loop, the task runtime and
-    the message layer, so turning it off *together with* one of those fast
-    paths must still land on the default digest — across sync/coupled x
-    DLB on/off.  This is the matrix the (when, seq) contract promises:
-    every toggle combination produces bit-identical simulated results.
-    """
-
-    ENGINE_ADJACENT = ["engine_fast_path", "runtime_fast_path",
-                       "comm_fast_path", "scheduler_heap",
-                       "driver_graph_cache"]
-
-    @pytest.mark.parametrize("toggle", ENGINE_ADJACENT)
     @pytest.mark.parametrize("name", sorted(CONFIGS))
-    def test_batch_off_with_toggle_off_is_identical(self, toggle, name,
-                                                    tmp_path,
-                                                    default_digests):
-        with toggles_mod.configured(engine_batch=False, **{toggle: False}):
-            d_off, c_off = _run(CONFIGS[name], tmp_path / "off.ckpt")
-        d_ref, c_ref = default_digests[name]
-        assert d_off == d_ref, (
-            f"{name}: digest depends on engine_batch x {toggle}")
-        assert c_off == c_ref, (
-            f"{name}: checkpoint bytes depend on engine_batch x {toggle}")
+    def test_batch_off_is_identical(self, name, tmp_path):
+        with configured(engine_batch=False):
+            d, c = _run(CONFIGS[name], tmp_path / "off.ckpt")
+        assert d == PINNED[name][0], (
+            f"{name}: digest depends on engine_batch")
+        assert hashlib.sha256(c).hexdigest() == PINNED[name][1], (
+            f"{name}: checkpoint bytes depend on engine_batch")
 
 
 class TestManyRankTieOrder:
@@ -151,7 +121,7 @@ class TestManyRankTieOrder:
     ], ids=["sync", "coupled"])
     def test_default_config_digest_identical(self, kwargs):
         cfg = RunConfig(**kwargs)
-        with toggles_mod.baseline():
+        with configured(engine_batch=False):
             before = run_cfpd(cfg)
         after = run_cfpd(cfg)
         assert _digest(before) == _digest(after)
@@ -196,7 +166,7 @@ class TestDLBBatchIdentity:
                 plans.get("scalar_graphs", 0))
 
     def _check(self, tmp_path, kwargs, fault_plan=None):
-        with toggles_mod.configured(engine_batch=False):
+        with configured(engine_batch=False):
             off = self._dlb_run(kwargs, tmp_path / "off.ckpt", fault_plan)
         on = self._dlb_run(kwargs, tmp_path / "on.ckpt", fault_plan)
         assert on[4] > 0, "engine_diag does not report the DLB fallback"
@@ -250,7 +220,7 @@ class TestEngineDiagOutOfDigests:
         plans["scalar_graphs"] += 1000
         plans["planned_graphs"] += 1000
         assert (simulated_digest(result), _digest(result)) == digests
-        with toggles_mod.configured(engine_batch=False):
+        with configured(engine_batch=False):
             scalar = run_cfpd(cfg, workload=get_workload(SPEC))
         assert "batch" not in scalar.engine_diag
         assert (simulated_digest(scalar), _digest(scalar)) == digests
@@ -281,7 +251,7 @@ class TestFaultPlanReplay:
 
     @pytest.mark.parametrize("name", ["sync", "coupled"])
     def test_fault_events_and_digest_identical(self, name):
-        with toggles_mod.baseline():
+        with configured(engine_batch=False):
             ev_before, d_before = self._fault_run(CONFIGS[name])
         ev_after, d_after = self._fault_run(CONFIGS[name])
         assert ev_before == ev_after, (
@@ -317,7 +287,7 @@ class TestFaultPlanReplay:
                 world.run(procs)
             return injector.messages_dropped, eng.now
 
-        with toggles_mod.baseline():
+        with configured(engine_batch=False):
             before = outcome()
         assert before == outcome()
 

@@ -1,11 +1,16 @@
 """Unit tests for the Krylov solvers."""
 
+from typing import Callable, Optional
+
 import numpy as np
 import pytest
 from scipy import sparse
 
 from repro.fem import assemble_operator
 from repro.solver import SolveResult, bicgstab, cg, jacobi_preconditioner
+from repro.solver.krylov import (STAGNATION_WINDOW, FaultHook,
+                                 SolverBreakdown, _recovering,
+                                 _StagnationGuard)
 from tests.test_fem import unit_cube_tets
 
 
@@ -138,25 +143,155 @@ class TestJacobi:
         assert np.isfinite(out).all()
 
 
+# -- allocating reference cores -----------------------------------------
+#
+# The textbook iterations, allocating a fresh vector per update; the
+# production cores replay their floating-point operations in the same
+# order on preallocated workspaces.
+
+def _cg_core(A: sparse.spmatrix, b: np.ndarray,
+             x0: Optional[np.ndarray], tol: float, maxiter: int,
+             M: Optional[Callable[[np.ndarray], np.ndarray]],
+             fault: Optional[FaultHook],
+             stagnation_window: int) -> SolveResult:
+    """CG iteration core; raises :class:`SolverBreakdown` on failure."""
+    n = len(b)
+    x = np.zeros(n) if x0 is None else x0.astype(np.float64).copy()
+    r = b - A @ x
+    matvecs = 1
+    norm_b = np.linalg.norm(b)
+    if norm_b == 0.0:
+        return SolveResult(x=np.zeros(n), converged=True, iterations=0,
+                           residuals=[0.0], matvecs=matvecs)
+    z = M(r) if M is not None else r
+    p = z.copy()
+    rz = float(r @ z)
+    residuals = [float(np.linalg.norm(r) / norm_b)]
+    guard = _StagnationGuard(stagnation_window)
+    try:
+        for it in range(1, maxiter + 1):
+            Ap = A @ p
+            matvecs += 1
+            pAp = float(p @ Ap)
+            if not np.isfinite(pAp):
+                raise SolverBreakdown("nonfinite_residual", it)
+            if pAp <= 0:
+                raise SolverBreakdown("indefinite_operator", it)
+            alpha = rz / pAp
+            x += alpha * p
+            r -= alpha * Ap
+            if fault is not None:
+                r = fault(it, r)
+            res = float(np.linalg.norm(r) / norm_b)
+            residuals.append(res)
+            guard.check(res, it)
+            if res < tol:
+                return SolveResult(x=x, converged=True, iterations=it,
+                                   residuals=residuals, matvecs=matvecs)
+            z = M(r) if M is not None else r
+            rz_new = float(r @ z)
+            beta = rz_new / rz
+            rz = rz_new
+            p = z + beta * p
+    except SolverBreakdown as exc:
+        exc.residuals = residuals
+        exc.matvecs = matvecs
+        raise
+    return SolveResult(x=x, converged=False, iterations=maxiter,
+                       residuals=residuals, matvecs=matvecs)
+
+
+def _bicgstab_core(A: sparse.spmatrix, b: np.ndarray,
+                   x0: Optional[np.ndarray], tol: float, maxiter: int,
+                   M: Optional[Callable[[np.ndarray], np.ndarray]],
+                   fault: Optional[FaultHook],
+                   stagnation_window: int) -> SolveResult:
+    """BiCGStab iteration core; raises :class:`SolverBreakdown` on failure."""
+    n = len(b)
+    x = np.zeros(n) if x0 is None else x0.astype(np.float64).copy()
+    r = b - A @ x
+    matvecs = 1
+    norm_b = np.linalg.norm(b)
+    if norm_b == 0.0:
+        return SolveResult(x=np.zeros(n), converged=True, iterations=0,
+                           residuals=[0.0], matvecs=matvecs)
+    r_hat = r.copy()
+    rho = alpha = omega = 1.0
+    v = np.zeros(n)
+    p = np.zeros(n)
+    residuals = [float(np.linalg.norm(r) / norm_b)]
+    guard = _StagnationGuard(stagnation_window)
+    try:
+        for it in range(1, maxiter + 1):
+            rho_new = float(r_hat @ r)
+            if not np.isfinite(rho_new):
+                raise SolverBreakdown("nonfinite_residual", it)
+            if abs(rho_new) < 1e-300:
+                raise SolverBreakdown("rho_breakdown", it)
+            beta = (rho_new / rho) * (alpha / omega) if it > 1 else 0.0
+            rho = rho_new
+            p = r + beta * (p - omega * v)
+            phat = M(p) if M is not None else p
+            v = A @ phat
+            matvecs += 1
+            denom = float(r_hat @ v)
+            if abs(denom) < 1e-300:
+                raise SolverBreakdown("orthogonality_breakdown", it)
+            alpha = rho / denom
+            s = r - alpha * v
+            if np.linalg.norm(s) / norm_b < tol:
+                x += alpha * phat
+                residuals.append(float(np.linalg.norm(s) / norm_b))
+                return SolveResult(x=x, converged=True, iterations=it,
+                                   residuals=residuals, matvecs=matvecs)
+            shat = M(s) if M is not None else s
+            t = A @ shat
+            matvecs += 1
+            tt = float(t @ t)
+            if not np.isfinite(tt):
+                raise SolverBreakdown("nonfinite_residual", it)
+            if tt < 1e-300:
+                raise SolverBreakdown("t_breakdown", it)
+            omega = float(t @ s) / tt
+            x += alpha * phat + omega * shat
+            r = s - omega * t
+            if fault is not None:
+                r = fault(it, r)
+            res = float(np.linalg.norm(r) / norm_b)
+            residuals.append(res)
+            guard.check(res, it)
+            if res < tol:
+                return SolveResult(x=x, converged=True, iterations=it,
+                                   residuals=residuals, matvecs=matvecs)
+            if abs(omega) < 1e-300:
+                raise SolverBreakdown("omega_breakdown", it)
+    except SolverBreakdown as exc:
+        exc.residuals = residuals
+        exc.matvecs = matvecs
+        raise
+    return SolveResult(x=x, converged=False, iterations=maxiter,
+                       residuals=residuals, matvecs=matvecs)
+
+
+_ALLOCATING_CORES = {cg: _cg_core, bicgstab: _bicgstab_core}
+
+
 class TestBufferedCores:
-    """The ``krylov_buffers`` cores replay the allocating cores' FP
+    """The allocation-free cores replay the allocating cores' FP
     operations in the same order on preallocated workspaces — every solve
-    must be bit-identical to the allocating path."""
+    must be bit-identical to the allocating reference."""
 
     @pytest.mark.parametrize("solve", [cg, bicgstab])
     @pytest.mark.parametrize("precondition", [False, True])
     @pytest.mark.parametrize("guess", [False, True])
     def test_bitwise_identical_to_allocating_cores(self, solve,
                                                    precondition, guess):
-        from repro.perf.toggles import configured
-
         A, b = spd_system(n=120, seed=5)
         M = jacobi_preconditioner(A) if precondition else None
         x0 = np.linspace(-1.0, 1.0, len(b)) if guess else None
-        with configured(krylov_buffers=False):
-            ref = solve(A, b, x0=x0, tol=1e-10, maxiter=400, M=M)
-        with configured(krylov_buffers=True):
-            fast = solve(A, b, x0=x0, tol=1e-10, maxiter=400, M=M)
+        ref = _recovering(_ALLOCATING_CORES[solve], A, b, x0, 1e-10, 400, M,
+                          None, True, STAGNATION_WINDOW)
+        fast = solve(A, b, x0=x0, tol=1e-10, maxiter=400, M=M)
         assert fast.x.tobytes() == ref.x.tobytes()
         assert fast.iterations == ref.iterations
         assert fast.matvecs == ref.matvecs
@@ -164,37 +299,29 @@ class TestBufferedCores:
 
     @pytest.mark.parametrize("solve", [cg, bicgstab])
     def test_zero_rhs(self, solve):
-        from repro.perf.toggles import configured
-
         A, _ = spd_system(n=40, seed=1)
-        with configured(krylov_buffers=True):
-            res = solve(A, np.zeros(40))
+        res = solve(A, np.zeros(40))
         assert res.converged and res.iterations == 0
         assert np.all(res.x == 0.0)
 
     def test_result_does_not_alias_workspace(self):
         """The returned solution must survive the workspace being reused
         by a later solve."""
-        from repro.perf.toggles import configured
-
         A, b = spd_system(n=60, seed=2)
-        with configured(krylov_buffers=True):
-            first = cg(A, b, tol=1e-10, maxiter=400)
-            snapshot = first.x.copy()
-            cg(A, 2.0 * b, tol=1e-10, maxiter=400)
+        first = cg(A, b, tol=1e-10, maxiter=400)
+        snapshot = first.x.copy()
+        cg(A, 2.0 * b, tol=1e-10, maxiter=400)
         np.testing.assert_array_equal(first.x, snapshot)
 
     def test_workspace_cache_hits(self):
-        from repro.perf.toggles import configured
         from repro.solver import krylov_workspace_stats
 
         A, b = spd_system(n=50, seed=3)
-        with configured(krylov_buffers=True):
-            before = krylov_workspace_stats()
-            cg(A, b, tol=1e-10, maxiter=400)
-            mid = krylov_workspace_stats()
-            cg(A, b, tol=1e-10, maxiter=400)
-            after = krylov_workspace_stats()
+        before = krylov_workspace_stats()
+        cg(A, b, tol=1e-10, maxiter=400)
+        mid = krylov_workspace_stats()
+        cg(A, b, tol=1e-10, maxiter=400)
+        after = krylov_workspace_stats()
         assert mid["misses"] > before["misses"]
         assert after["hits"] > mid["hits"]
         assert after["resident"] <= 8
