@@ -78,9 +78,12 @@ class _Plan:
 
     Produced by :meth:`Team._plan_sim` (or instantiated from a cached
     template): per-task start/finish times in dispatch order, finish times
-    in completion order, and the final stats sums — everything the scalar
-    engine would compute task by task, computed up front so the DES carries
-    a *single* completion event for the whole graph.
+    in completion order, and the final stats sums — everything task-by-task
+    dispatch would compute, computed up front so the DES carries a *single*
+    completion event for the whole graph.  "The scalar engine" below is
+    that per-task execution on a one-event-at-a-time heap, the reference
+    the plans are checked against (``ScalarEngine`` and ``PerTaskTeam`` in
+    ``tests/oracles.py``).
     """
 
     __slots__ = ("d_tids", "d_start", "d_finish", "d_dur", "c_finish",
@@ -242,27 +245,24 @@ class Team:
         self._use_heap = scheduler == "lpt"
         self._heap: list = []
         self._seq = 0
-        # Plan mode (engine_batch): simulate the whole graph execution up
-        # front and schedule one completion event, instead of 2 DES events
-        # per task.  Engages per run() and only when nobody observes
-        # per-task execution (no recorder, no listener — see _run_once;
-        # the fallback is counted in the arbiter's ``scalar_graphs``).
+        # Plan mode: simulate the whole graph execution up front and
+        # schedule one completion event, instead of 2 DES events per task.
+        # Engages per run() and only when nobody observes per-task
+        # execution (no recorder, no listener — see _run_once; the
+        # fallback is counted in the arbiter's ``scalar_graphs``).
         # Mid-run set_capacity/set_slowdown append a timestamped epoch and
         # re-simulate the plan from the start — the already-executed prefix
         # replays float-identically, so the revised plan agrees with
-        # history and the future reflects the change.  The engine owns the
-        # batched-or-scalar decision (``engine_batch``, read once there).
-        self._plan_enabled = engine._batch
+        # history and the future reflects the change.
         self._plan: Optional[_Plan] = None
         self._plan_repeats = 1
         self._plan_cache: dict[int, _PlanTemplate] = {}
         self._slow_epochs: list[tuple[float, float]] = []
         self._cap_epochs: list[tuple[float, int]] = []
-        if self._plan_enabled:
-            arb = getattr(engine, "_plan_arbiter", None)
-            if arb is None:
-                arb = engine._plan_arbiter = _PlanArbiter(engine)
-            self._arbiter: _PlanArbiter = arb
+        arb = getattr(engine, "_plan_arbiter", None)
+        if arb is None:
+            arb = engine._plan_arbiter = _PlanArbiter(engine)
+        self._arbiter: _PlanArbiter = arb
 
     # -- capacity (the DLB surface) -----------------------------------------
     @property
@@ -392,7 +392,7 @@ class Team:
         """
         if repeats < 1:
             raise RuntimeError_(f"repeats must be >= 1, got {repeats}")
-        if (repeats > 1 and len(graph) > 0 and self._plan_enabled
+        if (repeats > 1 and len(graph) > 0
                 and self.recorder is None and self.listener is None):
             # One plan covering every repeat, submitted in the same arbiter
             # cohort as a single-run plan.  Per-repeat plans would arm each
@@ -434,16 +434,15 @@ class Team:
         # records, and a listener (DLB attaches itself after construction)
         # resizes the team every few tasks — a plan would be re-simulated
         # at every resize, which costs more than the per-task events it
-        # saves — so those runs take the scalar path
-        if self._plan_enabled:
-            if self.recorder is None and self.listener is None:
-                self._graph = graph
-                self._stats = stats
-                self._done = Event(self.engine)
-                self._plan_start(graph, stats)
-                result = yield self._done
-                return result
-            self._arbiter.scalar_graphs += 1
+        # saves — so those runs dispatch task by task
+        if self.recorder is None and self.listener is None:
+            self._graph = graph
+            self._stats = stats
+            self._done = Event(self.engine)
+            self._plan_start(graph, stats)
+            result = yield self._done
+            return result
+        self._arbiter.scalar_graphs += 1
         self._graph = graph
         self._stats = stats
         self._remaining = len(graph.tasks)
@@ -459,7 +458,7 @@ class Team:
         result = yield self._done
         return result
 
-    # -- plan mode (engine_batch) ------------------------------------------
+    # -- plan mode ----------------------------------------------------------
     def _plan_start(self, graph: TaskGraph, stats: GraphStats,
                     repeats: int = 1) -> None:
         """Materialize the whole run (all ``repeats``) as one plan + one

@@ -23,8 +23,8 @@ stages:
 Everything is a pure function of simulated state: the trace is
 deterministic, the windows are a fixed partition, and ``scale_at`` /
 ``staleness`` / :meth:`CosimHub.transfer_summary` neither mutate the hub
-nor consult the wall clock.  Repeated queries — from a rerun, from the
-``engine_batch`` core or the scalar one — therefore
+nor consult the wall clock.  Repeated queries — from a rerun, or from
+the production event core and its test-suite reference — therefore
 return bit-identical values, which is what lets the ventilator-coupled
 digest checks hold.
 """

@@ -17,9 +17,6 @@ Usage::
     PYTHONPATH=src python -m repro.perf.bench --quick         # CI smoke
     PYTHONPATH=src python -m repro.perf.bench --compare BENCH_pr10.json \
         --baseline auto
-    PYTHONPATH=src python -m repro.perf.bench --digest-check engine_batch
-    PYTHONPATH=src python -m repro.perf.bench --digest-check engine_batch \
-        --digest-workload adaptive
 
 The report goes to ``BENCH_local.json`` unless ``--out`` names another
 path; committed reports are written with an explicit
@@ -39,19 +36,16 @@ without an in-build speedup gate, regresses beyond host drift — the
 median kernel ratio between the two reports — times the noise floor (see
 :func:`trajectory_check`).  The comparison, including the estimated
 drift factor, is recorded in the report's ``trajectory`` section.
-``--baseline auto`` resolves the newest committed ``BENCH_prN.json``
-below the output's PR number (any committed report for an output name
-without one) — gaps in the report numbering simply don't break the
-chain.
+``--baseline auto`` resolves the newest committed ``BENCH_prN.json`` in
+the repository root below the output's PR number (any committed report
+for an output name without one), wherever ``--out`` points — gaps in
+the report numbering simply don't break the chain.
 
-``--digest-check engine_batch`` skips the timing suite entirely and runs
-the default end-to-end configuration twice — once on the scalar event
-core (``engine_batch`` off), once on the batched core — failing if the
-simulated digests differ.  ``engine_batch`` is the only accepted name.
-``--digest-workload adaptive`` runs the same check on a local-adaptive
-transient spec; ``--digest-workload breathing`` on the gated-injection
-ventilator spec; ``--digest-workload dlb`` through DLB — the default
-spec with ``dlb=True``, sync and coupled with 64 fluid ranks.
+Every row records the wall-clock time of each repeat (``after_times``,
+``before_times``) and their ``after_spread``/``before_spread``: the
+slowest repeat's excess over the best, relative to the best (``None``
+for a single repeat).  A row whose spread approaches its gate's margin
+is measuring host noise.
 """
 
 from __future__ import annotations
@@ -90,14 +84,21 @@ _SCHEMA = "repro-bench-v1"
 #: resolves the newest committed report
 _DEFAULT_OUT = "BENCH_local.json"
 
+#: where the committed ``BENCH_prN.json`` reports live: the repository
+#: root (``src/repro/perf/bench.py`` -> four levels up)
+_REPORT_DIR = os.path.dirname(os.path.dirname(os.path.dirname(
+    os.path.dirname(os.path.abspath(__file__)))))
+
 #: documented accuracy contract of the adaptive time-to-endpoint row:
 #: relative L2 distance of the adaptive endpoint velocity from the fine
 #: fixed-Δt reference (see docs/performance.md, "Adaptive time stepping")
 ENDPOINT_ACCURACY_TOL = 0.05
 
 
-def _best_of(fn: Callable[[], object], repeats: int) -> tuple[float, object]:
-    """Smallest wall-clock of ``repeats`` calls (and the last result).
+def _best_of(fn: Callable[[], object],
+             repeats: int) -> tuple[list[float], object]:
+    """Wall-clock of each of ``repeats`` calls (and the last result); the
+    row's reported time is their minimum.
 
     The cyclic collector is paused around the timed calls (both sides of
     a before/after row get the same treatment): on measurements in the 100 ms range a
@@ -105,7 +106,7 @@ def _best_of(fn: Callable[[], object], repeats: int) -> tuple[float, object]:
     percent and lands on random repeats, which is exactly the noise a
     best-of protocol cannot average away.
     """
-    best = float("inf")
+    times = []
     result = None
     was_enabled = gc.isenabled()
     gc.collect()
@@ -114,11 +115,20 @@ def _best_of(fn: Callable[[], object], repeats: int) -> tuple[float, object]:
         for _ in range(max(1, repeats)):
             t0 = time.perf_counter()
             result = fn()
-            best = min(best, time.perf_counter() - t0)
+            times.append(time.perf_counter() - t0)
     finally:
         if was_enabled:
             gc.enable()
-    return best, result
+    return times, result
+
+
+def _spread(times: list[float]) -> Optional[float]:
+    """Repeat-to-repeat spread: (slowest - best) / best; ``None`` for a
+    single repeat, whose noise the run did not measure."""
+    best = min(times)
+    if len(times) < 2 or best <= 0:
+        return None
+    return round((max(times) - best) / best, 4)
 
 
 # -- workload pieces ---------------------------------------------------------
@@ -131,15 +141,14 @@ def _engine_events_workload() -> int:
     small graphs on single-worker teams — the regime where the batched
     engine's whole-graph plans and the (cached) plan templates collapse
     per-task events into one completion per graph — and (b) lockstep
-    ``defer``/``call_later`` chains forming same-timestamp cohorts that the
-    scalar engine pays one heap operation per event for and the batched
-    engine retires as one calendar bucket.
+    ``defer``/``call_later`` chains forming same-timestamp cohorts that a
+    one-event-at-a-time heap would pay one heap operation per event for
+    and the batched engine retires as one calendar bucket.
 
     Returns the number of dispatches the workload asks for — task
     executions plus chain callbacks.  That count is a property of the
-    workload, not of the engine: ``eng.events_processed`` differs by
-    design between the two cores (the plan path schedules one event per
-    graph).
+    workload, not of the engine: ``eng.events_processed`` is lower by
+    design (the plan path schedules one event per graph).
     """
     from ..core import Team, TaskGraph
     from ..machine import CoreModel, WorkSpec
@@ -798,9 +807,8 @@ def _cfpd_digest(res) -> str:
     """Digest of every simulated-time result of a run.
 
     Kept out of the timed region (a ``post`` hook): hashing the ~5k phase
-    samples costs ~14 ms — noise on the scalar side but a double-digit
-    share of the batched end-to-end time, so timing it would understate
-    the engine speedup by harness cost alone.
+    samples costs ~14 ms — a double-digit share of the end-to-end time, so
+    timing it would measure harness cost, not the simulation.
     """
     h = hashlib.sha256()
     for s in res.phase_log.samples:
@@ -810,13 +818,6 @@ def _cfpd_digest(res) -> str:
     h.update(repr(res.deposition).encode())
     h.update(repr(res.solver_info).encode())
     return h.hexdigest()
-
-
-def _run_cfpd_digest(spec=None, **config_kwargs) -> str:
-    """End-to-end run; digest covers every simulated-time result."""
-    from ..app.driver import RunConfig, run_cfpd
-
-    return _cfpd_digest(run_cfpd(RunConfig(**config_kwargs), spec=spec))
 
 
 def _campaign_bench_spec():
@@ -1021,7 +1022,8 @@ def run_benchmarks(quick: bool = False, repeats: Optional[int] = None,
     ``quick`` keeps workload sizes identical but uses one repeat and skips
     the DLB end-to-end variants (the CI smoke configuration); ``repeats``
     overrides the per-benchmark repeat count (full default: 3, best-of).
-    After-only rows report ``before_seconds``/``speedup`` as ``None``.
+    After-only rows report ``before_seconds``/``speedup`` and the
+    ``before_times``/``before_spread`` of the repeats as ``None``.
     """
     if repeats is None:
         repeats = 1 if quick else 3
@@ -1039,16 +1041,18 @@ def run_benchmarks(quick: bool = False, repeats: Optional[int] = None,
         # harness verification cost stays out of the timings
         post = row.get("post", lambda r: r)
         before_fn = row.get("before_fn")
-        before_s = before_res = None
+        before_s = before_res = before_times = None
         if before_fn is not None:
             # explicit before/after pair: an execution-model comparison
-            before_s, before_res = _best_of(before_fn, row_repeats)
+            before_times, before_res = _best_of(before_fn, row_repeats)
+            before_s = min(before_times)
             before_res = post(before_res)
         elif row.get("warmup", False):
             # cache-exercising kernels get one untimed call: the timing
             # then covers the steady state even at --quick's single repeat
             fn()
-        after_s, after_res = _best_of(fn, row_repeats)
+        after_times, after_res = _best_of(fn, row_repeats)
+        after_s = min(after_times)
         after_res = post(after_res)
         entry = {
             "name": name,
@@ -1058,6 +1062,12 @@ def run_benchmarks(quick: bool = False, repeats: Optional[int] = None,
             "after_seconds": round(after_s, 6),
             "speedup": (round(before_s / after_s, 3)
                         if before_s is not None and after_s > 0 else None),
+            "before_times": ([round(t, 6) for t in before_times]
+                             if before_times is not None else None),
+            "after_times": [round(t, 6) for t in after_times],
+            "before_spread": (_spread(before_times)
+                              if before_times is not None else None),
+            "after_spread": _spread(after_times),
         }
         if "min_speedup" in row:
             entry["min_speedup"] = row["min_speedup"]
@@ -1226,8 +1236,10 @@ def resolve_auto_baseline(out_path: str) -> Optional[str]:
     """``--baseline auto``: the newest committed ``BENCH_prN.json`` with
     ``N`` strictly below the output report's PR number.
 
-    Searches the output path's directory.  PR numbers need not be
-    consecutive — a PR that shipped no bench report (PR 6) leaves a gap
+    Searches the repository root (``_REPORT_DIR``), where the committed
+    reports live, whatever directory ``out_path`` names — a report written
+    to a scratch directory still gates against the committed trajectory.
+    PR numbers need not be consecutive — a PR that shipped no bench report (PR 6) leaves a gap
     that resolution simply skips over.  An output name without a PR
     number (e.g. CI's ``BENCH_smoke.json``) gates against the newest
     committed report outright.  Returns ``None`` (caller skips the
@@ -1235,9 +1247,8 @@ def resolve_auto_baseline(out_path: str) -> Optional[str]:
     """
     m = re.search(r"pr(\d+)", os.path.basename(out_path))
     current = int(m.group(1)) if m else sys.maxsize
-    directory = os.path.dirname(out_path) or "."
     best: tuple[int, str] | None = None
-    for path in glob.glob(os.path.join(directory, "BENCH_pr*.json")):
+    for path in glob.glob(os.path.join(_REPORT_DIR, "BENCH_pr*.json")):
         pm = re.match(r"BENCH_pr(\d+)\.json$", os.path.basename(path))
         if pm is None:
             continue
@@ -1245,69 +1256,6 @@ def resolve_auto_baseline(out_path: str) -> Optional[str]:
         if n < current and (best is None or n > best[0]):
             best = (n, path)
     return best[1] if best else None
-
-
-def _breathing_digest_spec():
-    """The end-to-end digest-check spec for ``--digest-workload
-    breathing``: ventilator-coupled inlet through the cosim hub,
-    injection gated to inhalation, the CFL ladder consuming the
-    transient — every path the cosim PR added to the driver."""
-    from ..app.workload import WorkloadSpec
-
-    return WorkloadSpec(adaptive="global", inlet_waveform="ventilator",
-                        injection_phase="inhale", injection_interval=4,
-                        n_steps=16)
-
-
-def _adaptive_digest_spec():
-    """The end-to-end digest-check spec for ``--digest-workload adaptive``:
-    local per-rank rungs with deterministic subcycling over a transient
-    sine inflow — the paths the adaptive PR added to the driver."""
-    from ..app.workload import WorkloadSpec
-
-    return WorkloadSpec(adaptive="local", inlet_waveform="sine")
-
-
-def _digest_check(toggle: str, workload: str = "default") -> int:
-    """Run the digest workload on the scalar core (``toggle`` off) and on
-    the batched core, and compare simulated digests — the quick per-push
-    contract check.  ``engine_batch`` is the only toggle; any other name
-    exits 2.
-
-    ``workload="adaptive"`` runs a local-adaptive transient spec,
-    ``workload="breathing"`` the gated-injection ventilator spec, and
-    ``workload="dlb"`` the default spec with DLB on, sync and coupled
-    64+64, end to end.
-    """
-    from .toggles import Toggles, configured
-
-    if toggle not in Toggles.__dataclass_fields__:
-        print(f"[bench] unknown toggle {toggle!r}; known: "
-              f"{', '.join(Toggles.__dataclass_fields__)}", file=sys.stderr)
-        return 2
-    if workload == "adaptive":
-        def digest_fn():
-            return _run_cfpd_digest(spec=_adaptive_digest_spec())
-    elif workload == "breathing":
-        def digest_fn():
-            return _run_cfpd_digest(spec=_breathing_digest_spec())
-    elif workload == "dlb":
-        def digest_fn():
-            return (_run_cfpd_digest(dlb=True)
-                    + _run_cfpd_digest(mode="coupled", fluid_ranks=64,
-                                       dlb=True))
-    else:
-        digest_fn = _run_cfpd_digest
-    with configured(**{toggle: False}):
-        d_off = digest_fn()
-    d_on = digest_fn()
-    if d_off != d_on:
-        print(f"[bench] FAIL: simulated digest depends on toggle "
-              f"{toggle} ({d_off[:16]}… off vs {d_on[:16]}… on)",
-              file=sys.stderr)
-        return 1
-    print(f"[bench] digest identical with {toggle} off/on ({d_on[:16]}…)")
-    return 0
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -1332,26 +1280,10 @@ def main(argv: Optional[list[str]] = None) -> int:
                              "(exit 1) if any kernel, micro or ungated "
                              "end-to-end benchmark regresses below the "
                              "drift-adjusted noise floor of it.  'auto' "
-                             "resolves the newest BENCH_prN.json below the "
-                             "output's PR number (gaps from report-less "
-                             "PRs are fine)")
-    parser.add_argument("--digest-check", metavar="TOGGLE", default=None,
-                        help="skip the timing suite; run the default "
-                             "end-to-end config with TOGGLE off vs on and "
-                             "fail (exit 1) if the simulated digests "
-                             "differ.  engine_batch is the only toggle "
-                             "(unknown names exit 2)")
-    parser.add_argument("--digest-workload", default="default",
-                        choices=("default", "adaptive", "breathing", "dlb"),
-                        help="workload --digest-check runs: the default "
-                             "configuration, a local-adaptive transient "
-                             "spec, the gated-injection ventilator spec, "
-                             "or the default spec under DLB (sync and "
-                             "coupled 64+64)")
+                             "resolves the newest BENCH_prN.json in the "
+                             "repository root below the output's PR "
+                             "number (gaps from report-less PRs are fine)")
     args = parser.parse_args(argv)
-
-    if args.digest_check:
-        return _digest_check(args.digest_check, args.digest_workload)
 
     if args.baseline == "auto":
         resolved = resolve_auto_baseline(

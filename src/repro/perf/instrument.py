@@ -3,7 +3,7 @@
 These helpers tally *host* activity around simulated workloads — they never
 touch the DES clock, so attaching them cannot perturb simulated-time
 results.  The benchmark runner (:mod:`repro.perf.bench`) composes them into
-the ``BENCH_pr2.json`` report.
+the ``BENCH_*.json`` report.
 
 * :class:`Counters` — plain named event tallies;
 * :func:`engine_counters` — snapshot of a DES engine's progress counters
@@ -42,27 +42,22 @@ class Counters:
 def engine_counters(engine) -> Dict[str, float]:
     """Snapshot of a DES engine's progress counters.
 
-    Works on any object with the :class:`repro.sim.Engine` surface; the
-    result feeds the events/sec throughput entries of the BENCH report.
-
-    On a batched engine (``engine_batch``), the snapshot additionally
-    carries the per-cohort instrumentation under ``"batch"``: cohort count
-    and size statistics (including a power-of-two size histogram), the
-    vectorized-vs-scalar dispatch split (arena-slot callbacks vs Event
-    objects), clock-jump statistics, the event arena's allocation counters,
-    and — when a :class:`~repro.core.runtime.Team` attached its plan
-    arbiter — the whole-graph plan counters, including ``scalar_graphs``,
-    the graph runs that took per-task dispatch instead (a recorder or a
-    listener such as DLB was attached).  Scalar engines return the flat
-    counters only.
+    The result feeds the events/sec throughput entries of the BENCH report.
+    Besides the flat progress counters, the snapshot carries the per-cohort
+    instrumentation under ``"batch"``: cohort count and size statistics
+    (including a power-of-two size histogram), the dispatch split
+    (arena-slot callbacks vs Event objects), clock-jump statistics, the
+    event arena's allocation counters, and — when a
+    :class:`~repro.core.runtime.Team` attached its plan arbiter — the
+    whole-graph plan counters, including ``scalar_graphs``, the graph runs
+    that took per-task dispatch instead (a recorder or a listener such as
+    DLB was attached).
     """
     out: Dict[str, float] = {
         "events_processed": engine.events_processed,
         "sim_now": engine.now,
         "alive_processes": engine.alive_process_count,
     }
-    if not getattr(engine, "_batch", False):
-        return out
     n_cohorts = engine._n_cohorts
     hist = {}
     for i, count in enumerate(engine._cohort_hist):
@@ -90,7 +85,7 @@ def engine_counters(engine) -> Dict[str, float]:
             "planned_tasks": arbiter.planned_tasks,
             "plan_cache_hits": arbiter.plan_cache_hits,
             "plan_replans": arbiter.plan_replans,
-            # graph runs that took per-task dispatch on a batched engine
+            # graph runs that took per-task dispatch
             "scalar_graphs": arbiter.scalar_graphs,
         }
     out["batch"] = batch

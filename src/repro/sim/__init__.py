@@ -1,11 +1,10 @@
-"""Discrete-event simulation substrate (engine, events, resources).
+"""Discrete-event simulation substrate (engine and events).
 
-See :mod:`repro.sim.engine` for the event loop and :mod:`repro.sim.resources`
-for synchronization primitives.
+See :mod:`repro.sim.engine` for the event loop and :mod:`repro.sim.arena`
+for the recycled storage of its deferred callbacks.
 """
 
 from .engine import AllOf, AnyOf, Engine, Event, Process, SimulationError, Timeout
-from .resources import Resource, Store
 
 __all__ = [
     "AllOf",
@@ -13,8 +12,6 @@ __all__ = [
     "Engine",
     "Event",
     "Process",
-    "Resource",
     "SimulationError",
-    "Store",
     "Timeout",
 ]

@@ -19,8 +19,7 @@ import itertools
 from collections import deque
 from typing import Any, Callable, Generator, Iterable, Optional
 
-from ..perf import toggles as _perf_toggles
-from .arena import KIND_COMPLETION, KIND_DEFER, KIND_TIMER, PENDING, EventArena
+from .arena import PENDING, EventArena
 
 __all__ = [
     "Engine",
@@ -46,7 +45,7 @@ class Event:
     """
 
     __slots__ = ("engine", "callbacks", "_triggered", "_processed", "_ok",
-                 "_value", "_defer")
+                 "_value")
 
     def __init__(self, engine: "Engine"):
         self.engine = engine
@@ -55,9 +54,6 @@ class Event:
         self._processed = False
         self._ok: Optional[bool] = None
         self._value: Any = None
-        # (fn, args) invoked directly by the run loop when this event pops —
-        # the frame-free form of a single callback (see Engine.defer).
-        self._defer: Optional[tuple] = None
 
     # -- state ------------------------------------------------------------
     @property
@@ -270,7 +266,7 @@ class AnyOf(_Condition):
 
 
 class Engine:
-    """The event loop: a priority queue of (time, seq, event) entries.
+    """The event loop: a calendar of per-timestamp event cohorts.
 
     Usage::
 
@@ -283,50 +279,46 @@ class Engine:
         p = eng.process(prog(eng))
         eng.run()
         assert eng.now == 1.5 and p.value == "done"
+
+    Events fire in the total order of ``(time, seq)``, where ``seq`` is a
+    global counter drawn when an entry is scheduled: same-time events run
+    in scheduling (FIFO) order.  Instead of one heap of ``(when, seq,
+    event)`` entries, the engine keeps a calendar of per-timestamp
+    *buckets* plus a heap of the distinct populated times.  The run loop
+    drains the cohort at the current timestamp (merged against the
+    now-queue by seq) and then jumps the clock directly to the next
+    populated time — one heap operation per *timestamp* instead of one per
+    event.  Deferred callbacks live in a recycled :class:`EventArena` slot
+    instead of an :class:`Event`; queue payloads are either an int (arena
+    slot) or an Event, distinguished by type at dispatch.
     """
 
     def __init__(self) -> None:
         self.now: float = 0.0
-        self._queue: list[tuple[float, int, Event]] = []
         self._seq = itertools.count()
         self._n_events_processed = 0
         self._procs: set[Process] = set()
         self._stop_reason: Optional[str] = None
-        # Same-time posts go to a FIFO now-queue of (seq, event): the global
-        # (time, seq) order is preserved (the queue is compared against the
-        # heap head by seq) while the common case — an event triggered at the
-        # current time — skips the heap sift entirely.
+        # Same-time posts go to a FIFO now-queue of (seq, payload): an event
+        # triggered at the current time skips the calendar entirely, and the
+        # run loop merges it against the current cohort by seq.
         self._now_queue: deque[tuple[int, Any]] = deque()
-        #: scratch counters other layers may bump (e.g. Team plan counters);
-        #: surfaced by ``repro.perf.instrument.engine_counters``.
-        self.ext_counters: dict[str, int] = {}
-        # Batched event-cohort core (engine_batch): instead of one global
-        # heap of (when, seq, event) entries, keep a calendar of per-timestamp
-        # *buckets* plus a heap of the distinct populated times.  The run
-        # loop drains the cohort at the current timestamp (merged against the
-        # now-queue by seq) and then jumps the clock directly to the next
-        # populated time — one heap operation per *timestamp* instead of one
-        # per event.  Deferred callbacks live in a recycled EventArena slot
-        # instead of an Event object; queue payloads are either an int
-        # (arena slot) or an Event, distinguished by type at dispatch.
-        self._batch = _perf_toggles.TOGGLES.engine_batch
-        if self._batch:
-            self.arena = EventArena()
-            self._buckets: dict[float, list] = {}
-            self._times: list[float] = []
-            # cohort at the current timestamp + its drain cursor; same-time
-            # schedules append here (monotonic seqs keep it sorted)
-            self._cur: list = []
-            self._ci = 0
-            # cohort instrumentation (see instrument.engine_counters)
-            self._n_cohorts = 0
-            self._cohort_events = 0
-            self._max_cohort = 0
-            self._cohort_hist = [0] * 16  # power-of-two size bins
-            self._n_jumps = 0
-            self._jump_total = 0.0
-            self._n_arena_fired = 0
-            self._n_event_dispatch = 0
+        self.arena = EventArena()
+        self._buckets: dict[float, list] = {}
+        self._times: list[float] = []
+        # cohort at the current timestamp + its drain cursor; same-time
+        # schedules append here (monotonic seqs keep it sorted)
+        self._cur: list = []
+        self._ci = 0
+        # cohort instrumentation (see instrument.engine_counters)
+        self._n_cohorts = 0
+        self._cohort_events = 0
+        self._max_cohort = 0
+        self._cohort_hist = [0] * 16  # power-of-two size bins
+        self._n_jumps = 0
+        self._jump_total = 0.0
+        self._n_arena_fired = 0
+        self._n_event_dispatch = 0
 
     # -- factory helpers ----------------------------------------------------
     def event(self) -> Event:
@@ -359,45 +351,26 @@ class Engine:
         ``fn`` before its first yield (the bootstrap event is posted at the
         same queue position), without the generator/Process allocation.
         The callback-based task runtime and collective completion are built
-        on this.  Returns an opaque handle (an arena slot under
-        ``engine_batch``, an :class:`Event` otherwise); callers that need
-        cancellation use :meth:`cancel_scheduled`.
+        on this.  Returns an opaque handle (an arena slot); callers that
+        need cancellation use :meth:`cancel_scheduled`.
         """
-        if self._batch:
-            # the hot path allocates no object at all: the callback rides in
-            # a recycled arena slot, the queue entry is (seq, slot).  The
-            # arena free-list claim is inlined (see EventArena.alloc) — this
-            # and call_later together run ~15k times per CFPD run.
-            seq = next(self._seq)
-            arena = self.arena
-            free = arena._free
-            if free:
-                slot = free.pop()
-                arena._fn[slot] = fn
-                arena._args[slot] = args
-                arena._when[slot] = self.now
-                arena._seq[slot] = seq
-                arena._kind[slot] = KIND_DEFER
-                arena._state[slot] = 1
-            else:
-                slot = arena._grow(self.now, seq, fn, args, KIND_DEFER)
-            arena.allocated += 1
-            self._now_queue.append((seq, slot))
-            return slot
-        # inlined Event(self) + ev.succeed() minus the already-triggered
-        # guard (the event is freshly constructed): this runs ~50k times
-        # per CFPD run.  fn/args ride in the _defer slot so the run loop
-        # invokes them without a lambda frame or a callbacks list entry.
-        ev = Event.__new__(Event)
-        ev.engine = self
-        ev.callbacks = []
-        ev._triggered = True
-        ev._processed = False
-        ev._ok = True
-        ev._value = None
-        ev._defer = (fn, args)
-        self._post(ev)
-        return ev
+        # the hot path allocates no object at all: the callback rides in
+        # a recycled arena slot, the queue entry is (seq, slot).  The
+        # arena free-list claim is inlined (see EventArena.alloc) — this
+        # and call_later together run ~15k times per CFPD run.
+        seq = next(self._seq)
+        arena = self.arena
+        free = arena._free
+        if free:
+            slot = free.pop()
+            arena._fn[slot] = fn
+            arena._args[slot] = args
+            arena._state[slot] = 1
+        else:
+            slot = arena._grow(fn, args)
+        arena.allocated += 1
+        self._now_queue.append((seq, slot))
+        return slot
 
     def call_later(self, delay: float, fn: Callable[..., None],
                    *args: Any):
@@ -409,44 +382,30 @@ class Engine:
         per-task execution delay.  Returns an opaque handle (see
         :meth:`defer`).
         """
-        if self._batch:
-            when = self.now + delay
-            seq = next(self._seq)
-            # inlined arena alloc + bucket insert (hot: one call per message
-            # delivery, collective completion and plan timer)
-            arena = self.arena
-            free = arena._free
-            if free:
-                slot = free.pop()
-                arena._fn[slot] = fn
-                arena._args[slot] = args
-                arena._when[slot] = when
-                arena._seq[slot] = seq
-                arena._kind[slot] = KIND_TIMER
-                arena._state[slot] = 1
+        when = self.now + delay
+        seq = next(self._seq)
+        # inlined arena alloc + bucket insert (hot: one call per message
+        # delivery, collective completion and plan timer)
+        arena = self.arena
+        free = arena._free
+        if free:
+            slot = free.pop()
+            arena._fn[slot] = fn
+            arena._args[slot] = args
+            arena._state[slot] = 1
+        else:
+            slot = arena._grow(fn, args)
+        arena.allocated += 1
+        if when == self.now:
+            self._cur.append((seq, slot))
+        else:
+            b = self._buckets.get(when)
+            if b is None:
+                self._buckets[when] = [(seq, slot)]
+                heapq.heappush(self._times, when)
             else:
-                slot = arena._grow(when, seq, fn, args, KIND_TIMER)
-            arena.allocated += 1
-            if when == self.now:
-                self._cur.append((seq, slot))
-            else:
-                b = self._buckets.get(when)
-                if b is None:
-                    self._buckets[when] = [(seq, slot)]
-                    heapq.heappush(self._times, when)
-                else:
-                    b.append((seq, slot))
-            return slot
-        ev = Event.__new__(Event)
-        ev.engine = self
-        ev.callbacks = []
-        ev._triggered = False
-        ev._processed = False
-        ev._ok = None
-        ev._value = None
-        ev._defer = (fn, args)
-        heapq.heappush(self._queue, (self.now + delay, next(self._seq), ev))
-        return ev
+                b.append((seq, slot))
+        return slot
 
     def schedule_fn_at(self, when: float, fn: Callable[..., None],
                        *args: Any):
@@ -461,21 +420,9 @@ class Engine:
         if when < self.now:
             raise SimulationError(f"cannot schedule into the past "
                                   f"({when} < {self.now})")
-        if self._batch:
-            seq = next(self._seq)
-            slot = self.arena.alloc(when, seq, fn, args, KIND_COMPLETION)
-            self._bucket_insert(when, seq, slot)
-            return slot
-        ev = Event.__new__(Event)
-        ev.engine = self
-        ev.callbacks = []
-        ev._triggered = False
-        ev._processed = False
-        ev._ok = None
-        ev._value = None
-        ev._defer = (fn, args)
-        heapq.heappush(self._queue, (when, next(self._seq), ev))
-        return ev
+        slot = self.arena.alloc(fn, args)
+        self._bucket_insert(when, next(self._seq), slot)
+        return slot
 
     def cancel_scheduled(self, handle) -> None:
         """Cancel a pending :meth:`call_later`/:meth:`schedule_fn_at` call.
@@ -483,17 +430,11 @@ class Engine:
         The queue entry stays where it is and is skipped (and its arena slot
         recycled) when it surfaces; the callback is guaranteed not to run.
         """
-        if self._batch:
-            self.arena.cancel(handle)
-        else:
-            handle._defer = None
+        self.arena.cancel(handle)
 
     # -- scheduling (internal) ----------------------------------------------
     def _schedule_at(self, when: float, event: Event) -> None:
-        if self._batch:
-            self._bucket_insert(when, next(self._seq), event)
-        else:
-            heapq.heappush(self._queue, (when, next(self._seq), event))
+        self._bucket_insert(when, next(self._seq), event)
 
     def _bucket_insert(self, when: float, seq: int, payload) -> None:
         """File a (seq, payload) entry under its timestamp's bucket.
@@ -516,140 +457,73 @@ class Engine:
         """Schedule a just-triggered event's callbacks at the current time."""
         self._now_queue.append((next(self._seq), event))
 
-    def _pop(self) -> Event:
-        """Remove and return the globally next event, advancing the clock.
-
-        The now-queue holds only events posted at the current time, in seq
-        order; the heap may also hold entries *at* the current time (e.g. a
-        zero-delay Timeout created after earlier posts), so when both are
-        candidates the smaller seq wins — reproducing the exact total
-        (time, seq) order of a single heap.
-        """
-        nq = self._now_queue
-        q = self._queue
-        if nq:
-            if q and q[0][0] <= self.now and q[0][1] < nq[0][0]:
-                _, _, event = heapq.heappop(q)
-                return event
-            return nq.popleft()[1]
-        if not q:
-            raise SimulationError(
-                f"no events scheduled ({self.alive_process_count} "
-                f"processes still alive at t={self.now:.6f}s)")
-        when, _, event = heapq.heappop(q)
-        if when < self.now:
-            raise SimulationError("time went backwards")
-        self.now = when
-        return event
-
     # -- running --------------------------------------------------------------
-    def step(self) -> None:
-        """Process a single event from the queue, advancing the clock.
+    def _next_cohort(self, until: Optional[float]) -> bool:
+        """Jump the clock to the next populated timestamp (not past
+        ``until``) and make its bucket the current cohort.
 
-        Raises :class:`SimulationError` if the queue is empty — an empty
-        queue while processes are still alive means every one of them is
-        blocked on an event nobody will trigger (a deadlock).
+        Returns ``False`` when there is none.  Times whose bucket was
+        already consumed (re-pushed while the clock sat on them) are
+        skipped; a bucket holding only cancelled slots is recycled without
+        moving the clock — a cancelled tail entry must not drag the
+        simulation end time forward.
         """
-        if self._batch:
-            self._step_batch()
-            return
-        event = self._pop()
-        if not event._triggered:
-            # A Timeout reaching its deadline: apply the trigger state now.
-            event._triggered = True
-            event._ok = True
-        self._n_events_processed += 1
-        event._processed = True
-        d = event._defer
-        if d is not None:
-            event._defer = None
-            d[0](*d[1])
-        callbacks, event.callbacks = event.callbacks, []
-        for cb in callbacks:
-            cb(event)
+        times = self._times
+        buckets = self._buckets
+        states = self.arena._state
+        while times:
+            when = heapq.heappop(times)
+            bucket = buckets.pop(when, None)
+            if bucket is None:
+                continue
+            if until is not None and when > until:
+                buckets[when] = bucket
+                heapq.heappush(times, when)
+                return False
+            if when < self.now:
+                raise SimulationError("time went backwards")
+            for _, p in bucket:
+                if type(p) is not int or states[p] != 2:
+                    break
+            else:
+                for _, p in bucket:
+                    states[p] = 0
+                    self.arena._free.append(p)
+                continue
+            n = len(bucket)
+            self._n_cohorts += 1
+            self._cohort_events += n
+            if n > self._max_cohort:
+                self._max_cohort = n
+            self._cohort_hist[min(n.bit_length() - 1, 15)] += 1
+            self._n_jumps += 1
+            self._jump_total += when - self.now
+            self.now = when
+            # visible before callbacks run: same-time schedules made during
+            # dispatch append to this cohort
+            self._cur = bucket
+            self._ci = 0
+            return True
+        return False
 
     def run(self, until: Optional[float] = None) -> None:
         """Run until the queue drains or the clock would pass ``until``.
 
-        This is :meth:`step` in a loop with the pop logic inlined — the
-        loop runs a hundred thousand times per simulated CFPD run, so the
-        per-event function-call overhead is worth removing.  Behaviour is
-        identical to repeated ``step()`` calls.
+        Per *timestamp* (not per event): pop the next populated time off the
+        ``_times`` heap, take its whole bucket as the current cohort, and
+        drain it merged against the now-queue by seq — the exact total
+        (when, seq) order of a single event heap, paying one heap operation
+        per distinct timestamp.  Behaviour is identical to repeated
+        :meth:`step` calls.
         """
         if until is not None and until < self.now:
             raise SimulationError("cannot run into the past")
-        if self._batch:
-            self._run_batch(until)
-            return
         nq = self._now_queue
-        q = self._queue
-        heappop = heapq.heappop
-        n_done = 0
-        try:
-            while nq or q:
-                if self._stop_reason is not None:
-                    return
-                if nq:
-                    # Now-queue events are always at the current time; a
-                    # heap entry also at the current time with a smaller seq
-                    # (e.g. a zero-delay Timeout) must still run first.
-                    if q and q[0][0] <= self.now and q[0][1] < nq[0][0]:
-                        _, _, event = heappop(q)
-                    else:
-                        _, event = nq.popleft()
-                else:
-                    when = q[0][0]
-                    if until is not None and when > until:
-                        self.now = until
-                        return
-                    when, _, event = heappop(q)
-                    if when < self.now:
-                        raise SimulationError("time went backwards")
-                    self.now = when
-                if not event._triggered:
-                    event._triggered = True
-                    event._ok = True
-                n_done += 1
-                event._processed = True
-                d = event._defer
-                if d is not None:
-                    # frame-free deferred call (Engine.defer / call_later)
-                    event._defer = None
-                    d[0](*d[1])
-                callbacks = event.callbacks
-                if callbacks:
-                    event.callbacks = []
-                    if len(callbacks) == 1:
-                        # single-waiter fast path: skip the loop machinery
-                        callbacks[0](event)
-                    else:
-                        for cb in callbacks:
-                            cb(event)
-        finally:
-            self._n_events_processed += n_done
-        if until is not None:
-            self.now = until
-
-    def _run_batch(self, until: Optional[float]) -> None:
-        """Cohort-batched run loop (``engine_batch``).
-
-        Per *timestamp* (not per event): pop the next populated time off the
-        ``_times`` heap, take its whole bucket as the current cohort, and
-        drain it merged against the now-queue by seq — reproducing the exact
-        total (when, seq) order of the scalar engine's single heap while
-        paying one heap operation per distinct timestamp.  Times whose
-        bucket was already consumed (re-pushed while the clock sat on them)
-        are skipped lazily.
-        """
-        nq = self._now_queue
-        buckets = self._buckets
-        times = self._times
         arena = self.arena
         a_state = arena._state
         a_fn = arena._fn
         a_args = arena._args
         a_free = arena._free
-        heappop = heapq.heappop
         cur = self._cur
         ci = self._ci
         n_done = 0
@@ -671,47 +545,12 @@ class Engine:
                 else:
                     # timestamp fully drained: bulk-advance the clock to the
                     # next populated time
-                    while times:
-                        when = heappop(times)
-                        bucket = buckets.pop(when, None)
-                        if bucket is not None:
-                            break
-                    else:
+                    if not self._next_cohort(until):
                         if until is not None:
                             self.now = until
                         return
-                    if until is not None and when > until:
-                        buckets[when] = bucket
-                        heapq.heappush(times, when)
-                        self.now = until
-                        return
-                    if when < self.now:
-                        raise SimulationError("time went backwards")
-                    for _, p in bucket:
-                        if type(p) is not int or a_state[p] != 2:
-                            break
-                    else:
-                        # only cancelled slots: recycle them without moving
-                        # the clock (a cancelled tail entry must not drag
-                        # the simulation end time forward)
-                        for _, p in bucket:
-                            a_state[p] = 0
-                            a_free.append(p)
-                        continue
-                    n = len(bucket)
-                    self._n_cohorts += 1
-                    self._cohort_events += n
-                    if n > self._max_cohort:
-                        self._max_cohort = n
-                    self._cohort_hist[min(n.bit_length() - 1, 15)] += 1
-                    self._n_jumps += 1
-                    self._jump_total += when - self.now
-                    self.now = when
-                    cur = bucket
+                    cur = self._cur
                     ci = 0
-                    # visible before callbacks run: same-time schedules made
-                    # during dispatch append to this cohort
-                    self._cur = cur
                     continue
                 if type(payload) is int:
                     # arena slot: free it, then invoke unless cancelled
@@ -734,10 +573,6 @@ class Engine:
                 n_done += 1
                 n_events += 1
                 event._processed = True
-                d = event._defer
-                if d is not None:
-                    event._defer = None
-                    d[0](*d[1])
                 callbacks = event.callbacks
                 if callbacks:
                     event.callbacks = []
@@ -752,11 +587,14 @@ class Engine:
             self._n_arena_fired += n_arena
             self._n_event_dispatch += n_events
 
-    def _step_batch(self) -> None:
-        """Process a single event under ``engine_batch`` (see :meth:`step`).
+    def step(self) -> None:
+        """Process a single event from the queue, advancing the clock.
 
-        Cancelled arena slots are recycled and skipped — they do not count
-        as a processed event (the scalar engine never queues them).
+        Raises :class:`SimulationError` if the queue is empty — an empty
+        queue while processes are still alive means every one of them is
+        blocked on an event nobody will trigger (a deadlock).  Cancelled
+        arena slots are recycled and skipped; they do not count as a
+        processed event.
         """
         nq = self._now_queue
         while True:
@@ -772,37 +610,10 @@ class Engine:
                 payload = cur[ci][1]
                 self._ci = ci + 1
             else:
-                while self._times:
-                    when = heapq.heappop(self._times)
-                    bucket = self._buckets.pop(when, None)
-                    if bucket is not None:
-                        break
-                else:
+                if not self._next_cohort(None):
                     raise SimulationError(
                         f"no events scheduled ({self.alive_process_count} "
                         f"processes still alive at t={self.now:.6f}s)")
-                if when < self.now:
-                    raise SimulationError("time went backwards")
-                states = self.arena._state
-                for _, p in bucket:
-                    if type(p) is not int or states[p] != 2:
-                        break
-                else:
-                    for _, p in bucket:
-                        states[p] = 0
-                        self.arena._free.append(p)
-                    continue
-                n = len(bucket)
-                self._n_cohorts += 1
-                self._cohort_events += n
-                if n > self._max_cohort:
-                    self._max_cohort = n
-                self._cohort_hist[min(n.bit_length() - 1, 15)] += 1
-                self._n_jumps += 1
-                self._jump_total += when - self.now
-                self.now = when
-                self._cur = bucket
-                self._ci = 0
                 continue
             arena = self.arena
             if type(payload) is int:
@@ -826,10 +637,6 @@ class Engine:
             self._n_events_processed += 1
             self._n_event_dispatch += 1
             event._processed = True
-            d = event._defer
-            if d is not None:
-                event._defer = None
-                d[0](*d[1])
             callbacks, event.callbacks = event.callbacks, []
             for cb in callbacks:
                 cb(event)

@@ -25,7 +25,7 @@ from collections import deque
 from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence
 
 from ..machine import ClusterModel, rank_to_node
-from ..sim import Engine, Event, Store
+from ..sim import Engine, Event
 from .pmpi import HookList
 
 __all__ = [
@@ -113,14 +113,14 @@ def _payload_nbytes(payload: Any, nbytes: Optional[float]) -> float:
 
 
 class _KeyedMailbox:
-    """Message queue with O(1) keyed matching (``engine_batch`` fast path).
+    """A rank's message queue with O(1) keyed matching.
 
-    Observationally identical to a :class:`~repro.sim.Store` holding
-    :class:`Message` items matched by (comm_id, src, tag) predicates: puts
-    wake the oldest compatible getter, gets take the oldest compatible
-    message.  The difference is purely mechanical — a fully-specified
-    receive pops the head of a per-key deque instead of running a predicate
-    closure down the arrival queue, and only wildcard receives still scan.
+    Matching semantics are those of a FIFO store of :class:`Message` items
+    matched by (comm_id, src, tag) predicates: puts wake the oldest
+    compatible getter, gets take the oldest compatible message.  A
+    fully-specified receive pops the head of a per-key deque instead of
+    running a predicate down the arrival queue; only wildcard receives
+    scan.
 
     A message taken through one index stays in the other as a tombstone
     (``rec[1] is True``); tombstones are skipped lazily and squeezed out
@@ -353,20 +353,15 @@ class Comm:
         size = (float(nbytes) if nbytes is not None
                 else _payload_nbytes(payload, None))
         dest_world = self.group[dest]
-        if world._batch:
-            # message cost is a pure function of (placement, size), and halo
-            # exchanges repeat identical (peer, size) pairs every step
-            dc = self._delay_cache
-            delay = dc.get((dest_world, size))
-            if delay is None:
-                delay = world.cluster.message_seconds(
-                    world.node_of(self.world_rank),
-                    world.node_of(dest_world), size)
-                dc[(dest_world, size)] = delay
-        else:
+        # message cost is a pure function of (placement, size), and halo
+        # exchanges repeat identical (peer, size) pairs every step
+        dc = self._delay_cache
+        delay = dc.get((dest_world, size))
+        if delay is None:
             delay = world.cluster.message_seconds(
                 world.node_of(self.world_rank), world.node_of(dest_world),
                 size)
+            dc[(dest_world, size)] = delay
         dropped = False
         if world.fault_controller is not None:
             dropped, extra = world.fault_controller.on_message(
@@ -441,16 +436,8 @@ class Comm:
             return ev
 
         meta = None if source == ANY_SOURCE else {"src": self.group[source]}
-        box = world.mailbox(self.world_rank)
-        if world._batch:
-            return box.get_keyed(self.comm_id, source, tag, meta)
-
-        def predicate(msg: Message) -> bool:
-            return (msg.comm_id == self.comm_id
-                    and (source == ANY_SOURCE or msg.src == source)
-                    and (tag == ANY_TAG or msg.tag == tag))
-
-        return box.get(predicate, meta=meta)
+        return world.mailbox(self.world_rank).get_keyed(
+            self.comm_id, source, tag, meta)
 
     def wait(self, event: Event):
         """Blocking wait on a request event (isend/irecv), with PMPI hooks."""
@@ -567,32 +554,28 @@ class Comm:
         contributions (collectives shrink, ULFM-style).
         """
         contribs = yield from self._collective("allreduce", value, nbytes)
-        world = self._world
-        if world._batch:
-            # every member computes the identical reduction over the shared
-            # contribution dict — compute it once per (collective, op) and
-            # share the result when it is immutable (n ranks x n terms
-            # otherwise).  The cache entry pins the contribs dict, so an
-            # id() hit is guaranteed to be the same collective.
-            cache = world._reduce_cache
-            entry = cache.get(id(contribs))
-            if entry is not None and entry[0] is contribs:
-                by_op = entry[1]
-                hit = by_op.get(id(op), _REDUCE_MISS)
-                if hit is not _REDUCE_MISS:
-                    return hit
-            else:
-                if len(cache) > 16:
-                    cache.clear()
-                by_op = {}
-                cache[id(contribs)] = (contribs, by_op)
-            result = _reduce_values(
-                [contribs[r] for r in self._ordered_ranks(contribs)], op)
-            if type(result) in _SHAREABLE_TYPES:
-                by_op[id(op)] = result
-            return result
-        return _reduce_values(
+        # every member computes the identical reduction over the shared
+        # contribution dict — compute it once per (collective, op) and
+        # share the result when it is immutable (n ranks x n terms
+        # otherwise).  The cache entry pins the contribs dict, so an id()
+        # hit is guaranteed to be the same collective.
+        cache = self._world._reduce_cache
+        entry = cache.get(id(contribs))
+        if entry is not None and entry[0] is contribs:
+            by_op = entry[1]
+            hit = by_op.get(id(op), _REDUCE_MISS)
+            if hit is not _REDUCE_MISS:
+                return hit
+        else:
+            if len(cache) > 16:
+                cache.clear()
+            by_op = {}
+            cache[id(contribs)] = (contribs, by_op)
+        result = _reduce_values(
             [contribs[r] for r in self._ordered_ranks(contribs)], op)
+        if type(result) in _SHAREABLE_TYPES:
+            by_op[id(op)] = result
+        return result
 
     def reduce(self, value: Any, root: int = 0,
                op: Callable[[Any, Any], Any] = None,
@@ -702,13 +685,7 @@ class World:
         self.hooks = HookList()
         self.collectives: dict[tuple[int, int], _Collective] = {}
         self._coll_seq: dict[tuple[int, int], int] = {}
-        # the engine owns the batched-or-scalar decision (engine_batch)
-        self._batch = engine._batch
-        if self._batch:
-            self._mailboxes: list[Any] = [_KeyedMailbox(engine)
-                                          for _ in range(nranks)]
-        else:
-            self._mailboxes = [Store(engine) for _ in range(nranks)]
+        self._mailboxes = [_KeyedMailbox(engine) for _ in range(nranks)]
         #: id(contribs) -> (contribs, {id(op): shared result}) — see allreduce
         self._reduce_cache: dict[int, tuple] = {}
         self._next_comm_id = 1
@@ -767,11 +744,7 @@ class World:
 
     # -- plumbing used by Comm ------------------------------------------------
     def mailbox(self, world_rank: int):
-        """The destination message queue of ``world_rank``.
-
-        A :class:`~repro.sim.Store`, or a :class:`_KeyedMailbox` under the
-        ``engine_batch`` toggle — same put/get-match/fail_pending contract.
-        """
+        """The destination message queue of ``world_rank``."""
         return self._mailboxes[world_rank]
 
     def deliver(self, msg: Message, dest_world_rank: int) -> None:

@@ -26,8 +26,9 @@ from repro.fem.timestep import (CflController, DtLadder, cfl_rate,
 from repro.machine import CoreModel, WorkSpec
 from repro.mesh.airway import Segment
 from repro.mesh.generator import MeshResolution, build_tube_mesh
-from repro.perf.toggles import configured
 from repro.sim import Engine
+
+from .oracles import PerTaskTeam, ScalarEngine, oracle_stack
 
 #: ``_advance_digest`` per pressure solver, recorded on the last build that
 #: still carried the fluid fast-path toggles, where all eight toggle
@@ -354,7 +355,7 @@ class TestDriverAdaptive:
         ref, result = _run_digest(self.SPEC)
         again, _ = _run_digest(self.SPEC)
         assert again == ref
-        with configured(engine_batch=False):
+        with oracle_stack():
             unbatched, _ = _run_digest(self.SPEC)
         assert unbatched == ref
         diag = result.adaptive_diag
@@ -387,7 +388,7 @@ CORE = CoreModel(name="unit", freq_ghz=1.0, base_ipc=1.0, out_of_order=True,
 SEC = 1e9
 
 
-def _tied_completion_order():
+def _tied_completion_order(engine_cls=Engine, team_cls=Team):
     """Two teams finishing at the same simulated time, with different
     repeat structure: A runs a 4-task graph twice, B runs an 8-task graph
     once (same total work, both on 2 threads ⇒ both end at t=4).
@@ -396,9 +397,9 @@ def _tied_completion_order():
     genealogy; the batched runtime must reproduce it even though A's
     final completion comes from a repeated plan.
     """
-    eng = Engine()
-    team_a = Team(eng, CORE, 2, name="A")
-    team_b = Team(eng, CORE, 2, name="B")
+    eng = engine_cls()
+    team_a = team_cls(eng, CORE, 2, name="A")
+    team_b = team_cls(eng, CORE, 2, name="B")
     order = []
 
     def graph(n):
@@ -424,10 +425,8 @@ def _tied_completion_order():
 
 class TestBatchedRepeatsOrdering:
     def test_tie_order_matches_scalar_runtime(self):
-        with configured(engine_batch=False):
-            scalar = _tied_completion_order()
-        with configured(engine_batch=True):
-            batched = _tied_completion_order()
+        scalar = _tied_completion_order(ScalarEngine, PerTaskTeam)
+        batched = _tied_completion_order()
         assert batched == scalar
 
     @pytest.mark.parametrize("repeats", [2, 3, 4])
@@ -439,9 +438,9 @@ class TestBatchedRepeatsOrdering:
         for instr in (SEC / 3, SEC / 7, SEC / 11):
             g.add_task(WorkSpec(instr))
 
-        def run_once():
-            eng = Engine()
-            team = Team(eng, CORE, 2)
+        def run_once(engine_cls=Engine, team_cls=Team):
+            eng = engine_cls()
+            team = team_cls(eng, CORE, 2)
             out = {}
 
             def prog():
@@ -452,8 +451,6 @@ class TestBatchedRepeatsOrdering:
             return (eng.now, s.tasks_run, s.busy_seconds,
                     s.instructions, s.overhead_seconds, s.t_end)
 
-        with configured(engine_batch=False):
-            scalar = run_once()
-        with configured(engine_batch=True):
-            batched = run_once()
+        scalar = run_once(ScalarEngine, PerTaskTeam)
+        batched = run_once()
         assert batched == scalar

@@ -8,9 +8,9 @@ breathing waveform family (validation satellites, `waveform_scale` edge
 cases at exact phase boundaries / beyond `t_end` / on the clipped
 off-ladder final step, inhale-gated injection), the tracker's carrier
 `flow_scale`, the fluid solver's hub-driven inlet rescale, the driver's
-`cosim_diag`, bit-identical ventilator runs across reruns /
-`engine_batch` and against pinned digests, and the breathing deposition
-campaign end to end.
+`cosim_diag`, bit-identical ventilator runs across reruns, on the
+reference event stack and against pinned digests, and the breathing
+deposition campaign end to end.
 """
 
 import hashlib
@@ -46,7 +46,8 @@ from repro.particles import (
     ParticleState,
     inject_at_inlet,
 )
-from repro.perf.toggles import configured
+
+from .oracles import oracle_stack
 
 #: digests recorded on the last build that still carried the fluid and
 #: particle fast-path toggles, where every toggle combination the tests
@@ -573,7 +574,7 @@ class TestDriverCosim:
         assert ref == PINNED["ventilator_run"]
         again, _ = _run_digest(VENT_SPEC)
         assert again == ref
-        with configured(engine_batch=False):
+        with oracle_stack():
             unbatched, _ = _run_digest(VENT_SPEC)
         assert unbatched == ref
 

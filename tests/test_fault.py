@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 from repro import RunConfig, WorkloadSpec, run_cfpd
 from repro.fault import FaultInjector, FaultPlan, FaultSpec, resilience_report
 from repro.machine import marenostrum4
-from repro.sim import Engine, SimulationError, Store
+from repro.sim import Engine, SimulationError
 from repro.smpi import DeadlockError, MPIError, RankDeadError, World
 from repro.solver import SolverBreakdown, cg, jacobi_preconditioner
 from repro.solver.krylov import _cg_iterate
+
+from .oracles import Store
 
 
 SPEC = WorkloadSpec(generations=3, points_per_ring=6, n_steps=8)

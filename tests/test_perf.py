@@ -1,9 +1,9 @@
-"""Unit tests for the performance layer (repro.perf): the engine_batch
-toggle, instrumentation, benchmark runner, and the per-module fast-path
-equivalences (comm, assembly, tracker)."""
+"""Unit tests for the performance layer (repro.perf): the one event core
+and its test-suite reference, instrumentation, benchmark runner, and the
+per-module fast-path equivalences (comm, assembly, tracker)."""
 
-import dataclasses
 import hashlib
+import importlib
 
 import numpy as np
 import pytest
@@ -20,12 +20,19 @@ from repro.particles import (
     ParticleState,
     inject_at_inlet,
 )
-from repro.perf import Counters, Toggles, engine_counters
-from repro.perf import toggles as toggles_mod
+from repro.perf import Counters, engine_counters
 from repro.sim import Engine
 from repro.smpi import World
 
-from .oracles import UncompactedTracker, UnfusedTracker, monolithic_assembly
+from .oracles import (
+    PerTaskTeam,
+    ScalarEngine,
+    StoreWorld,
+    UncompactedTracker,
+    UnfusedTracker,
+    monolithic_assembly,
+    oracle_stack,
+)
 
 
 def small_airway():
@@ -33,50 +40,73 @@ def small_airway():
                              MeshResolution(points_per_ring=6, rings=2))
 
 
-# -- toggles ---------------------------------------------------------------
+# -- one event core ---------------------------------------------------------
 
-class TestToggles:
-    def test_defaults_all_on(self):
-        assert Toggles().engine_batch
+class TestOneCore:
+    """``src`` ships one event core; the scalar core, per-task team and
+    ``Store`` mailboxes live in ``tests/oracles.py`` as its reference."""
 
-    def test_engine_batch_is_the_only_toggle(self):
-        assert tuple(f.name for f in dataclasses.fields(Toggles)) == (
-            "engine_batch",)
-        assert not hasattr(toggles_mod, "baseline")
+    def test_engine_is_the_batched_core(self):
+        from repro.sim import Event
 
-    def test_engine_reads_the_toggle_team_and_world_follow(self):
-        from repro.core import Team
-        from repro.machine import CoreModel
+        eng = Engine()
+        assert eng.arena.capacity == 0 and eng._buckets == {}
+        assert not hasattr(eng, "_queue")
+        assert "_defer" not in Event.__slots__
+        assert isinstance(eng.call_later(1.0, lambda: None), int)
+
+    def test_toggles_module_is_gone(self):
+        import repro.perf as perf
+
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.perf.toggles")
+        for name in ("Toggles", "TOGGLES", "set_toggles", "configured"):
+            assert not hasattr(perf, name)
+
+    def test_team_plans_and_world_keyed_mailboxes_unconditional(self):
+        from repro.core import Team, TaskGraph
+        from repro.machine import CoreModel, WorkSpec
+        from repro.smpi.comm import _KeyedMailbox
 
         core = CoreModel(name="unit", freq_ghz=1.0, base_ipc=1.0,
                          out_of_order=True, atomic_stall_cycles=0.0,
                          mem_stall_cycles=0.0)
-        for batch in (False, True):
-            with toggles_mod.configured(engine_batch=batch):
-                eng = Engine()
-            # built after the toggle is restored: they follow the engine
-            team = Team(eng, core, 1)
-            world = World(eng, thunder(1), 2)
-            assert eng._batch is batch
-            assert team._plan_enabled is batch
-            assert world._batch is batch
+        eng = Engine()
+        team = Team(eng, core, 1)
+        world = World(eng, thunder(1), 2)
+        assert not hasattr(team, "_plan_enabled")
+        assert not hasattr(world, "_batch")
+        assert all(isinstance(world.mailbox(r), _KeyedMailbox)
+                   for r in range(2))
+        g = TaskGraph()
+        g.add_task(WorkSpec(1e9))
 
-    def test_configured_overrides_and_restores(self):
-        with toggles_mod.configured(engine_batch=False) as t:
-            assert not t.engine_batch
-        assert toggles_mod.TOGGLES.engine_batch
+        def prog():
+            yield from team.run(g)
 
-    def test_configured_rejects_unknown_toggle(self):
-        with pytest.raises(TypeError, match="unknown toggles"):
-            with toggles_mod.configured(warp_drive=True):
-                pass
+        eng.process(prog())
+        eng.run()
+        plans = engine_counters(eng)["batch"]["plans"]
+        assert plans["planned_graphs"] == 1 and plans["scalar_graphs"] == 0
 
-    def test_restored_after_exception(self):
-        before = toggles_mod.TOGGLES
+    def test_oracle_stack_overrides_and_restores(self):
+        from repro.app import driver
+        from repro.core import Team
+
+        with oracle_stack():
+            assert driver.Engine is ScalarEngine
+            assert driver.Team is PerTaskTeam
+            assert driver.World is StoreWorld
+        assert (driver.Engine, driver.Team, driver.World) == (
+            Engine, Team, World)
+
+    def test_oracle_stack_restored_after_exception(self):
+        from repro.app import driver
+
         with pytest.raises(RuntimeError):
-            with toggles_mod.configured(engine_batch=False):
+            with oracle_stack():
                 raise RuntimeError("boom")
-        assert toggles_mod.TOGGLES is before
+        assert driver.Engine is Engine and driver.World is World
 
 
 # -- instrumentation -------------------------------------------------------
@@ -227,11 +257,87 @@ class TestBench:
         assert not any(re.fullmatch(r"BENCH_pr\d+\.json", name)
                        for name in written)
 
-    def test_digest_check_rejects_retired_toggles(self, capsys):
+    def test_digest_check_option_is_gone(self, capsys):
+        """The scalar/batched digest comparison is a tier-1 test now
+        (``tests/test_perf_identical.py``); the bench no longer has it."""
         from repro.perf.bench import main
 
-        assert main(["--digest-check", "krylov_buffers"]) == 2
-        assert "engine_batch" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["--digest-check", "engine_batch"])
+        assert exc.value.code == 2
+        assert "--digest-check" in capsys.readouterr().err
+
+    def test_auto_baseline_ignores_out_directory(self, tmp_path):
+        """A report written outside the repository root still resolves
+        the newest committed lower-numbered report there."""
+        import os
+        import re
+        from pathlib import Path
+
+        from repro.perf.bench import resolve_auto_baseline
+
+        root = Path(__file__).resolve().parents[1]
+        committed = sorted(int(re.search(r"pr(\d+)", p.name).group(1))
+                           for p in root.glob("BENCH_pr*.json"))
+        assert committed, "no committed BENCH_prN.json in the repo root"
+        top = committed[-1]
+        resolved = resolve_auto_baseline(
+            str(tmp_path / f"BENCH_pr{top + 1}.json"))
+        assert resolved is not None
+        assert os.path.samefile(resolved, root / f"BENCH_pr{top}.json")
+        assert resolve_auto_baseline(str(tmp_path / "BENCH_smoke.json")) \
+            == resolved
+
+    def test_auto_baseline_tolerates_numbering_gaps(self, tmp_path,
+                                                    monkeypatch):
+        import repro.perf.bench as bench
+
+        reports = tmp_path / "reports"
+        reports.mkdir()
+        for n in (2, 5, 9):
+            (reports / f"BENCH_pr{n}.json").write_text("{}")
+        (reports / "BENCH_local.json").write_text("{}")
+        monkeypatch.setattr(bench, "_REPORT_DIR", str(reports))
+        out = tmp_path / "elsewhere"
+        assert bench.resolve_auto_baseline(str(out / "BENCH_pr8.json")) \
+            == str(reports / "BENCH_pr5.json")
+        assert bench.resolve_auto_baseline(str(out / "BENCH_pr10.json")) \
+            == str(reports / "BENCH_pr9.json")
+        assert bench.resolve_auto_baseline(str(out / "BENCH_pr2.json")) \
+            is None
+
+    def test_rows_report_repeat_times_and_spread(self, monkeypatch):
+        """Every row carries each repeat's time and the spread per side;
+        after-only rows carry ``None`` for the before side."""
+        import repro.perf.bench as bench
+
+        # perf_counter readings: before repeats take 1, 2 and 2.5 s, after
+        # repeats 0.5, 1 and 0.5 s
+        ticks = iter([0.0, 1.0, 1.0, 3.0, 3.0, 5.5,
+                      10.0, 10.5, 10.5, 11.5, 11.5, 12.0])
+        monkeypatch.setattr(bench.time, "perf_counter", lambda: next(ticks))
+        monkeypatch.setattr(
+            bench, "_benchmark_table",
+            lambda quick: [{"name": "pair", "kind": "kernel",
+                            "fn": lambda: "same", "before_fn": lambda: "same",
+                            "units": None, "repeats": 3, "min_speedup": 1.0}])
+        [b] = bench.run_benchmarks(quick=True, verbose=False)["benchmarks"]
+        assert b["before_times"] == [1.0, 2.0, 2.5]
+        assert b["after_times"] == [0.5, 1.0, 0.5]
+        assert b["before_seconds"] == 1.0 and b["after_seconds"] == 0.5
+        assert b["before_spread"] == pytest.approx(1.5)
+        assert b["after_spread"] == pytest.approx(1.0)
+        assert b["speedup"] == 2.0
+
+        ticks = iter([0.0, 2.0])
+        monkeypatch.setattr(
+            bench, "_benchmark_table",
+            lambda quick: [{"name": "solo", "kind": "micro",
+                            "fn": lambda: None, "units": None}])
+        [b] = bench.run_benchmarks(quick=True, verbose=False)["benchmarks"]
+        # one repeat measures no spread
+        assert b["after_times"] == [2.0] and b["after_spread"] is None
+        assert b["before_times"] is None and b["before_spread"] is None
 
 
 # -- smpi fast-path equivalence --------------------------------------------
@@ -254,17 +360,18 @@ def _collective_round(world):
 class TestCommFastPath:
     def test_collective_results_and_timing_unchanged(self):
         results = {}
-        for label, batch in (("before", False), ("after", True)):
-            with toggles_mod.configured(engine_batch=batch):
-                eng = Engine()
-                world = World(eng, marenostrum4(), 8, mapping="block")
-                results[label] = (_collective_round(world), eng.now)
+        for label, engine_cls, world_cls in (
+                ("before", ScalarEngine, StoreWorld),
+                ("after", Engine, World)):
+            eng = engine_cls()
+            world = world_cls(eng, marenostrum4(), 8, mapping="block")
+            results[label] = (_collective_round(world), eng.now)
         assert results["before"] == results["after"]
 
     def test_collectives_with_dead_rank_unchanged(self):
-        def run():
-            eng = Engine()
-            world = World(eng, thunder(1), 4, mapping="block")
+        def run(engine_cls=Engine, world_cls=World):
+            eng = engine_cls()
+            world = world_cls(eng, thunder(1), 4, mapping="block")
 
             def program(comm):
                 if comm.rank == 3:
@@ -280,8 +387,7 @@ class TestCommFastPath:
             return ([repr(r) if isinstance(r, Exception) else r
                      for r in results], eng.now)
 
-        with toggles_mod.configured(engine_batch=False):
-            before = run()
+        before = run(ScalarEngine, StoreWorld)
         after = run()
         assert before == after
         # survivors' reduction: ranks 0..2 contribute 1+2+3

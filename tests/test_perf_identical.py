@@ -8,9 +8,13 @@ Guards:
   and the on-disk checkpoint file (byte-for-byte) match the values
   recorded when every fast path still had a slow twin it was checked
   against, across sync/coupled x DLB on/off;
-* **engine_batch** — the scalar event core (``engine_batch`` off) lands
-  on the same digests as the batched core, up to production scale and
-  under DLB and faults.
+* **reference stack** — the scalar event core with per-task teams and
+  ``Store`` mailboxes (``tests/oracles.py``) lands on the same digests as
+  the production core, up to production scale and under DLB and faults;
+* **former CI digest workloads** — the default configuration, a
+  local-adaptive sine spec, the gated-injection ventilator spec and DLB
+  sync plus coupled 64+64 equal digests pinned on the last build that
+  still compared the two cores in CI, on both stacks.
 """
 
 import dataclasses
@@ -20,7 +24,9 @@ import pytest
 
 from repro.app.driver import RunConfig, run_cfpd
 from repro.app.workload import WorkloadSpec, get_workload
-from repro.perf.toggles import configured
+from repro.perf.bench import _cfpd_digest
+
+from .oracles import ScalarEngine, StoreWorld, oracle_stack
 
 #: small but non-trivial workload: enough steps for two checkpoint cuts
 SPEC = WorkloadSpec(generations=3, points_per_ring=6, n_steps=4)
@@ -92,22 +98,23 @@ class TestBitIdenticalBeforeAfter:
 
 
 class TestEngineBatchMatrix:
-    """The scalar event core (``engine_batch`` off) lands on the pinned
-    digests and checkpoint bytes across sync/coupled x DLB on/off — the
-    (when, seq) contract the batched core keeps."""
+    """The reference stack lands on the pinned digests and checkpoint
+    bytes across sync/coupled x DLB on/off — the (when, seq) contract the
+    batched core keeps."""
 
     @pytest.mark.parametrize("name", sorted(CONFIGS))
     def test_batch_off_is_identical(self, name, tmp_path):
-        with configured(engine_batch=False):
+        with oracle_stack():
             d, c = _run(CONFIGS[name], tmp_path / "off.ckpt")
         assert d == PINNED[name][0], (
-            f"{name}: digest depends on engine_batch")
+            f"{name}: digest differs on the reference stack")
         assert hashlib.sha256(c).hexdigest() == PINNED[name][1], (
-            f"{name}: checkpoint bytes depend on engine_batch")
+            f"{name}: checkpoint bytes differ on the reference stack")
 
 
 class TestManyRankTieOrder:
-    """Batch-vs-scalar identity at production scale (96 ranks, 2 nodes).
+    """Batched-vs-reference identity at production scale (96 ranks, 2
+    nodes).
 
     Small single-node configs never produce same-instant completions on
     *different* nodes, so they cannot catch a wrong tie-break among plan
@@ -121,18 +128,19 @@ class TestManyRankTieOrder:
     ], ids=["sync", "coupled"])
     def test_default_config_digest_identical(self, kwargs):
         cfg = RunConfig(**kwargs)
-        with configured(engine_batch=False):
+        with oracle_stack():
             before = run_cfpd(cfg)
         after = run_cfpd(cfg)
         assert _digest(before) == _digest(after)
 
 
 class TestDLBBatchIdentity:
-    """The batched core under DLB lands on the scalar oracle at paper shapes.
+    """The batched core under DLB lands on the reference stack at paper
+    shapes.
 
-    ``engine_batch`` off is the oracle.  With it on, the DLB teams still
-    dispatch task by task (the fallback ``engine_diag`` must report) but on
-    the cohort-batched event loop, beside the hungry-team and borrower
+    On the batched core the DLB teams still dispatch task by task (the
+    fallback ``engine_diag`` must report) but on the cohort-batched event
+    loop and keyed mailboxes, beside the hungry-team and borrower
     indexes DLB keeps per node — so digests, checkpoint bytes and every
     ``DLBStats`` field must match, across multi-node and coupled shapes,
     the ``lewi_half`` policy and a rank death plus a throttle.
@@ -166,7 +174,7 @@ class TestDLBBatchIdentity:
                 plans.get("scalar_graphs", 0))
 
     def _check(self, tmp_path, kwargs, fault_plan=None):
-        with configured(engine_batch=False):
+        with oracle_stack():
             off = self._dlb_run(kwargs, tmp_path / "off.ckpt", fault_plan)
         on = self._dlb_run(kwargs, tmp_path / "on.ckpt", fault_plan)
         assert on[4] > 0, "engine_diag does not report the DLB fallback"
@@ -207,7 +215,8 @@ class TestEngineDiagOutOfDigests:
 
     ``engine_diag`` carries the plan counters — including
     ``scalar_graphs``, the graph runs that took per-task dispatch — which
-    differ between engine modes for the same simulated run.
+    differ between the batched and the reference stack for the same
+    simulated run.
     """
 
     def test_plan_counters_not_in_digests(self):
@@ -220,9 +229,12 @@ class TestEngineDiagOutOfDigests:
         plans["scalar_graphs"] += 1000
         plans["planned_graphs"] += 1000
         assert (simulated_digest(result), _digest(result)) == digests
-        with configured(engine_batch=False):
+        with oracle_stack():
             scalar = run_cfpd(cfg, workload=get_workload(SPEC))
-        assert "batch" not in scalar.engine_diag
+        # the heap engine fills no cohort and no arena slot
+        assert result.engine_diag["batch"]["cohorts"] > 0
+        assert scalar.engine_diag["batch"]["cohorts"] == 0
+        assert scalar.engine_diag["batch"]["arena"]["allocated"] == 0
         assert (simulated_digest(scalar), _digest(scalar)) == digests
 
 
@@ -231,7 +243,7 @@ class TestFaultPlanReplay:
 
     A plan with a straggler window, a rank death and a message-loss budget
     must fire at the same simulated times and leave the same simulated
-    metrics whether the engine runs scalar or batched — fault timers and
+    metrics on the reference stack and the batched one — fault timers and
     the keyed-mailbox failure path ride the same (when, seq) order.
     """
 
@@ -251,26 +263,27 @@ class TestFaultPlanReplay:
 
     @pytest.mark.parametrize("name", ["sync", "coupled"])
     def test_fault_events_and_digest_identical(self, name):
-        with configured(engine_batch=False):
+        with oracle_stack():
             ev_before, d_before = self._fault_run(CONFIGS[name])
         ev_after, d_after = self._fault_run(CONFIGS[name])
         assert ev_before == ev_after, (
-            f"{name}: fault firing schedule changed under engine_batch")
+            f"{name}: fault firing schedule differs from the reference")
         assert d_before == d_after, (
             f"{name}: simulated metrics after faults changed")
 
     def test_message_loss_deadlock_diagnostic_identical(self):
         """A dropped message deadlocks at the same simulated time with the
-        same dropped count, scalar or batched (the keyed mailbox's blocked
-        getter surfaces in the diagnostic exactly like the Store's)."""
+        same dropped count, reference or batched (the keyed mailbox's
+        blocked getter surfaces in the diagnostic exactly like the
+        Store's)."""
         from repro.fault import FaultInjector, FaultPlan, FaultSpec
         from repro.machine import marenostrum4
         from repro.sim import Engine
         from repro.smpi import DeadlockError, World
 
-        def outcome():
-            eng = Engine()
-            world = World(eng, marenostrum4(), 2)
+        def outcome(engine_cls=Engine, world_cls=World):
+            eng = engine_cls()
+            world = world_cls(eng, marenostrum4(), 2)
             injector = FaultInjector(world, FaultPlan(specs=(
                 FaultSpec(kind="msg_drop", time=0.0, rank=0, count=1),)))
             injector.start()
@@ -287,9 +300,53 @@ class TestFaultPlanReplay:
                 world.run(procs)
             return injector.messages_dropped, eng.now
 
-        with configured(engine_batch=False):
-            before = outcome()
+        before = outcome(ScalarEngine, StoreWorld)
         assert before == outcome()
+
+
+#: ``repro.perf.bench._cfpd_digest`` of each workload CI compared between
+#: the scalar and the batched core before the reference stack moved into
+#: the test suite; values recorded on that build, where both cores agreed
+FORMER_CI_WORKLOADS = {
+    "default": [dict()],
+    "adaptive": [dict(spec=WorkloadSpec(adaptive="local",
+                                        inlet_waveform="sine"))],
+    "breathing": [dict(spec=WorkloadSpec(
+        adaptive="global", inlet_waveform="ventilator",
+        injection_phase="inhale", injection_interval=4, n_steps=16))],
+    "dlb": [dict(dlb=True), dict(mode="coupled", fluid_ranks=64, dlb=True)],
+}
+FORMER_CI_PINNED = {
+    "default": "b5b7d177ebdb59e29a53174cf2579bb5e51c8f1589db6b7735bd67a0feaaa6fd",
+    "adaptive": "0a296c36a876e2d774c5454007df1ecb6acaaa6b27be0f059d54a551e38b62a1",
+    "breathing": "bc5fcf2288b35327f9b11e190cdb9537fc643777930cb0d209b8fe76ee7e99ce",
+    "dlb": "0eca75765c2012727c06125196995db8ac85b68a8d51e9ded6e1ecefda71bc12"
+           "6c82a7785f3a36924c7baa0af48cfd3e073a3eed73fb835a633306138010d93c",
+}
+
+
+class TestFormerCIDigests:
+    """The four end-to-end workloads CI used to compare between the two
+    event cores, on the production core and on the reference stack."""
+
+    @staticmethod
+    def _digest(runs) -> str:
+        out = ""
+        for kwargs in runs:
+            kwargs = dict(kwargs)
+            spec = kwargs.pop("spec", None)
+            out += _cfpd_digest(run_cfpd(RunConfig(**kwargs), spec=spec))
+        return out
+
+    @pytest.mark.parametrize("name", sorted(FORMER_CI_WORKLOADS))
+    def test_both_stacks_match_pinned(self, name):
+        runs = FORMER_CI_WORKLOADS[name]
+        assert self._digest(runs) == FORMER_CI_PINNED[name], (
+            f"{name}: production core digest changed")
+        with oracle_stack():
+            reference = self._digest(runs)
+        assert reference == FORMER_CI_PINNED[name], (
+            f"{name}: reference stack digest changed")
 
 
 class TestArenaRecycling:

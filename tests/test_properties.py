@@ -18,9 +18,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import DLB, Team, build_parallel_for_graph
 from repro.machine import CoreModel, marenostrum4
-from repro.perf.toggles import configured
 from repro.sim import Engine
 from repro.smpi import World
+
+from .oracles import PerTaskTeam, ScalarEngine, StoreWorld
 
 CORE = CoreModel(name="unit", freq_ghz=1.0, base_ipc=1.0, out_of_order=True,
                  atomic_stall_cycles=0.0, mem_stall_cycles=0.0)
@@ -30,18 +31,24 @@ workload_strategy = st.lists(
     min_size=2, max_size=5)
 
 
+#: the production event stack and the reference one (``tests/oracles.py``)
+STACKS = {"batched": (Engine, Team, World),
+          "reference": (ScalarEngine, PerTaskTeam, StoreWorld)}
+
+
 def run_random_workload(phases_per_rank, dlb_enabled, threads=2,
-                        check_conservation=True):
+                        check_conservation=True, stack=STACKS["batched"]):
     """Each rank runs its list of phases (task counts) with barriers."""
+    engine_cls, team_cls, world_cls = stack
     nranks = len(phases_per_rank)
     nphases = max(len(p) for p in phases_per_rank)
-    engine = Engine()
+    engine = engine_cls()
     cluster = marenostrum4(num_nodes=1)
-    world = World(engine, cluster, nranks)
+    world = world_cls(engine, cluster, nranks)
     dlb = DLB(world, enabled=dlb_enabled)
     teams = {}
     for r in range(nranks):
-        teams[r] = Team(engine, CORE, threads, rank=r)
+        teams[r] = team_cls(engine, CORE, threads, rank=r)
         dlb.attach_team(r, teams[r])
     base_total = nranks * threads
     violations = []
@@ -89,12 +96,11 @@ class TestDLBProperties:
     @given(workload_strategy)
     @settings(max_examples=30, deadline=None)
     def test_core_conservation_invariant(self, phases):
-        # both event cores: the batched one runs the DLB teams task by
+        # both event stacks: the batched one runs the DLB teams task by
         # task beside whole-graph plans of teams without a listener
-        for engine_batch in (False, True):
-            with configured(engine_batch=engine_batch):
-                _, dlb, violations = run_random_workload(phases,
-                                                         dlb_enabled=True)
+        for stack in STACKS.values():
+            _, dlb, violations = run_random_workload(phases, dlb_enabled=True,
+                                                     stack=stack)
             assert violations == []
             # all loans settled at the end
             assert dlb.pool_size(0) == 0

@@ -7,6 +7,8 @@ from repro.core.runtime import RuntimeError_
 from repro.machine import CoreModel, WorkSpec
 from repro.sim import Engine
 
+from .oracles import PerTaskTeam, ScalarEngine
+
 
 #: A convenient core: 1 GHz, IPC 1 => 1e9 instructions per second.
 CORE = CoreModel(name="unit", freq_ghz=1.0, base_ipc=1.0, out_of_order=True,
@@ -224,7 +226,8 @@ class TestMalleability:
 
 
 class TestPlanEquivalence:
-    """Whole-graph plans (``engine_batch``) vs the scalar task-by-task path.
+    """Whole-graph plans vs the task-by-task reference (``ScalarEngine``
+    and ``PerTaskTeam`` from ``tests/oracles.py``).
 
     Mid-run ``set_slowdown``/``set_capacity`` force a replan; the replayed
     prefix and the re-simulated suffix must land on exactly the scalar
@@ -233,10 +236,10 @@ class TestPlanEquivalence:
     """
 
     @staticmethod
-    def _perturbed_run(graph_factory, script):
-        from repro.sim import Engine as Eng
-        eng = Eng()
-        team = Team(eng, CORE, 2)
+    def _perturbed_run(graph_factory, script, engine_cls=Engine,
+                       team_cls=Team):
+        eng = engine_cls()
+        team = team_cls(eng, CORE, 2)
         out = {}
 
         def prog():
@@ -266,13 +269,10 @@ class TestPlanEquivalence:
          (1.3, lambda t: t.set_slowdown(1.0))],
     ], ids=["slowdown", "capacity", "mixed"])
     def test_midrun_perturbation_exact(self, script):
-        from repro.perf.toggles import configured
-
         def graphs():
             return simple_graph(7, instr=0.35 * SEC)
 
-        with configured(engine_batch=False):
-            scalar = self._perturbed_run(graphs, script)
-        with configured(engine_batch=True):
-            batch = self._perturbed_run(graphs, script)
+        scalar = self._perturbed_run(graphs, script, ScalarEngine,
+                                     PerTaskTeam)
+        batch = self._perturbed_run(graphs, script)
         assert scalar == batch      # bit-exact, no approx

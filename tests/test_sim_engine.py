@@ -1,6 +1,7 @@
 """Unit tests for the discrete-event simulation engine."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.sim import (
     AllOf,
@@ -8,9 +9,11 @@ from repro.sim import (
     Engine,
     Event,
     SimulationError,
-    Store,
-    Resource,
 )
+from repro.smpi import ANY_SOURCE, ANY_TAG, RankDeadError
+from repro.smpi.comm import Message, _KeyedMailbox
+
+from .oracles import ScalarEngine, Store, StoreMailbox
 
 
 def test_timeout_advances_clock():
@@ -242,69 +245,6 @@ def test_yield_non_event_is_error():
     assert isinstance(p.value, SimulationError)
 
 
-class TestResource:
-    def test_grants_up_to_capacity(self):
-        eng = Engine()
-        res = Resource(eng, capacity=2)
-        held = []
-
-        def holder(tag, hold_time):
-            yield res.request()
-            held.append((tag, eng.now))
-            yield eng.timeout(hold_time)
-            res.release()
-
-        eng.process(holder("a", 2.0))
-        eng.process(holder("b", 2.0))
-        eng.process(holder("c", 2.0))
-        eng.run()
-        times = dict((tag, t) for tag, t in held)
-        assert times["a"] == 0.0 and times["b"] == 0.0
-        assert times["c"] == pytest.approx(2.0)
-
-    def test_fifo_grant_order(self):
-        eng = Engine()
-        res = Resource(eng, capacity=1)
-        order = []
-
-        def holder(tag):
-            yield res.request()
-            order.append(tag)
-            yield eng.timeout(1.0)
-            res.release()
-
-        for tag in range(4):
-            eng.process(holder(tag))
-        eng.run()
-        assert order == [0, 1, 2, 3]
-
-    def test_release_without_request_rejected(self):
-        eng = Engine()
-        res = Resource(eng, capacity=1)
-        with pytest.raises(SimulationError):
-            res.release()
-
-    def test_capacity_validation(self):
-        eng = Engine()
-        with pytest.raises(SimulationError):
-            Resource(eng, capacity=0)
-
-    def test_available_accounting(self):
-        eng = Engine()
-        res = Resource(eng, capacity=3)
-
-        def prog():
-            yield res.request()
-            yield res.request()
-            assert res.available == 1
-            res.release()
-            assert res.available == 2
-
-        p = eng.process(prog())
-        eng.run()
-        assert p.ok, p.value
-
-
 class TestStore:
     def test_put_then_get(self):
         eng = Engine()
@@ -389,11 +329,11 @@ class TestStore:
 
 
 class TestBatchEngine:
-    """The cohort-batched core (``engine_batch``) against the scalar engine.
+    """The cohort-batched core against the scalar reference engine
+    (``tests/oracles.py``).
 
-    Every test drives the same program through a scalar and a batched
-    engine and compares the observable trajectory — the (when, seq) FIFO
-    contract says they must match exactly.
+    Programs driven through both engines must produce the same observable
+    trajectory — the (when, seq) FIFO contract says they match exactly.
     """
 
     @staticmethod
@@ -422,19 +362,14 @@ class TestBatchEngine:
         return run_on
 
     def test_dispatch_order_matches_scalar(self):
-        from repro.perf.toggles import configured
         scalar_rec, batch_rec = [], []
-        with configured(engine_batch=False):
-            self._trace_program(scalar_rec)(Engine())
-        with configured(engine_batch=True):
-            self._trace_program(batch_rec)(Engine())
+        self._trace_program(scalar_rec)(ScalarEngine())
+        self._trace_program(batch_rec)(Engine())
         assert scalar_rec == batch_rec
 
     def test_run_until_and_resume(self):
-        from repro.perf.toggles import configured
         fired = []
-        with configured(engine_batch=True):
-            eng = Engine()
+        eng = Engine()
         eng.call_later(1.0, fired.append, "one")
         eng.call_later(2.0, fired.append, "two")
         eng.run(until=1.5)
@@ -443,13 +378,11 @@ class TestBatchEngine:
         assert fired == ["one", "two"] and eng.now == 2.0
 
     def test_step_parity_with_run(self):
-        from repro.perf.toggles import configured
         def schedule(eng, out):
             eng.call_later(1.0, out.append, "a")
             eng.call_later(1.0, out.append, "b")
             eng.call_later(2.0, out.append, "c")
-        with configured(engine_batch=True):
-            e1, e2 = Engine(), Engine()
+        e1, e2 = Engine(), Engine()
         r1, r2 = [], []
         schedule(e1, r1)
         schedule(e2, r2)
@@ -460,10 +393,8 @@ class TestBatchEngine:
         assert e2.events_processed == e1.events_processed
 
     def test_cancel_scheduled_never_fires(self):
-        from repro.perf.toggles import configured
         fired = []
-        with configured(engine_batch=True):
-            eng = Engine()
+        eng = Engine()
         h = eng.call_later(1.0, fired.append, "cancelled")
         eng.call_later(2.0, fired.append, "kept")
         eng.cancel_scheduled(h)
@@ -473,9 +404,7 @@ class TestBatchEngine:
         assert eng.arena.live == 0      # cancelled slot was recycled
 
     def test_cancelled_tail_does_not_advance_clock(self):
-        from repro.perf.toggles import configured
-        with configured(engine_batch=True):
-            eng = Engine()
+        eng = Engine()
         eng.call_later(1.0, lambda: None)
         h = eng.call_later(5.0, lambda: None)
         eng.cancel_scheduled(h)
@@ -483,9 +412,7 @@ class TestBatchEngine:
         assert eng.now == 1.0   # the cancelled bucket at t=5 is not a jump
 
     def test_arena_free_list_recycles(self):
-        from repro.perf.toggles import configured
-        with configured(engine_batch=True):
-            eng = Engine()
+        eng = Engine()
 
         def chain(n):
             if n:
@@ -499,9 +426,7 @@ class TestBatchEngine:
 
     def test_cohort_counters(self):
         from repro.perf.instrument import engine_counters
-        from repro.perf.toggles import configured
-        with configured(engine_batch=True):
-            eng = Engine()
+        eng = Engine()
         for _ in range(4):
             eng.call_later(1.0, lambda: None)
         eng.call_later(2.0, lambda: None)
@@ -513,3 +438,69 @@ class TestBatchEngine:
         assert c["bulk_jumps"] == 2
         assert c["jump_total_time"] == pytest.approx(2.0)
         assert c["cohort_hist"] == {"1": 1, "4-7": 1}
+
+
+# -- keyed mailbox vs the Store it replaced -----------------------------------
+
+_put = st.tuples(st.just("put"), st.integers(0, 1), st.integers(0, 2),
+                 st.integers(0, 1))
+_get = st.tuples(st.just("get"), st.integers(0, 1),
+                 st.sampled_from([ANY_SOURCE, 0, 1, 2]),
+                 st.sampled_from([ANY_TAG, 0, 1]))
+_fail = st.tuples(st.just("fail"), st.integers(0, 2))
+#: rounds of a put burst, a get burst and at most one peer failure; the
+#: bursts are long enough to leave more than 64 arrival records, most of
+#: them taken, so the keyed mailbox's tombstone compaction runs mid-run
+_mailbox_rounds = st.lists(
+    st.tuples(st.lists(_put, min_size=30, max_size=80),
+              st.lists(_get, min_size=30, max_size=80),
+              st.lists(_fail, max_size=1)),
+    max_size=4)
+
+
+class TestKeyedMailboxMatchesStore:
+    """``_KeyedMailbox`` against a predicate-matched :class:`Store`
+    (``tests/oracles.py``): every put, keyed or wildcard get and
+    ``fail_pending`` has the same immediate effect on both, and after each
+    burst every getter holds the same message (or the same failure) and
+    the undelivered messages agree in arrival order."""
+
+    @staticmethod
+    def _outcome(ev):
+        if not ev.triggered:
+            return None
+        if not ev.ok:
+            return ("failed", ev.value.rank)
+        return ("got", ev.value.payload)
+
+    @given(_mailbox_rounds)
+    @settings(max_examples=60, deadline=None)
+    def test_same_messages_reach_same_getters_in_order(self, rounds):
+        boxes = (_KeyedMailbox(Engine()), StoreMailbox(Engine()))
+        getters = ([], [])
+        serial = 0
+        for burst in (part for r in rounds for part in r):
+            for op in burst:
+                if op[0] == "put":
+                    _, comm_id, src, tag = op
+                    serial += 1
+                    for box in boxes:
+                        box.put(Message(src, 0, tag, comm_id, serial, 8.0))
+                elif op[0] == "get":
+                    _, comm_id, source, tag = op
+                    meta = None if source == ANY_SOURCE else {"src": source}
+                    for box, evs in zip(boxes, getters):
+                        evs.append(box.get_keyed(comm_id, source, tag, meta))
+                    assert (self._outcome(getters[0][-1])
+                            == self._outcome(getters[1][-1]))
+                else:
+                    dead = op[1]
+                    counts = [box.fail_pending(
+                        lambda meta: isinstance(meta, dict)
+                        and meta.get("src") == dead, RankDeadError(dead))
+                        for box in boxes]
+                    assert counts[0] == counts[1]
+                assert len(boxes[0]) == len(boxes[1])
+            assert ([self._outcome(ev) for ev in getters[0]]
+                    == [self._outcome(ev) for ev in getters[1]])
+            assert boxes[0].peek_all() == boxes[1].peek_all()
